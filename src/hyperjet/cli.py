@@ -16,16 +16,17 @@ and a closing summary.  Identical runs produce byte-identical bundles.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from multiprocessing import Pool
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 from . import engine, lp, tables
 from .lattice import DivisorClass
-from .surfaces import catalog, surface
+from .surfaces import surface
 
 SCHEMA_VERSION = "1"
 
@@ -150,21 +151,52 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _task_certs(task: tuple[int, int, tuple[int, int] | None, int | None]):
-    type_id, k, base_pair, r_max = task
-    base = DivisorClass(*base_pair) if base_pair else None
-    return list(engine.iter_certificates(surface(type_id), k, base, r_max))
+Task = tuple[int, int, tuple[int, int] | None, int, bool]
 
 
-def _iter_sweep(cfg: RunConfig) -> Iterator[list[engine.Certificate]]:
-    tasks = [
-        (t, k, cfg.base_class, cfg.r_max)
+def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
+    """One (type, k) task per pair in scope; the point cap is clamped per k."""
+    return [
+        (t, k, cfg.base_class, min(cfg.r_max or k + 1, k + 1), lines)
         for t in cfg.surface_types
         for k in range(cfg.k_min, cfg.k_max + 1)
     ]
+
+
+def _certificates(task: Task) -> Iterator[engine.Certificate]:
+    type_id, k, base_pair, r_max, _ = task
+    base = DivisorClass(*base_pair) if base_pair else None
+    return engine.iter_certificates(surface(type_id), k, base, r_max)
+
+
+def _task(task: Task) -> Iterator[tuple[str, bool, str | None, str | None, str | None]]:
+    """(label, pass, report key, report line, certificate line) per certificate.
+
+    Lines are built only for a bundle; a report's line comes with its first
+    use in the task.
+    """
+    lines = task[-1]
+    seen: set[str] = set()
+    for cert in _certificates(task):
+        report = cert.nonfibre_report
+        key = report.key if report else None
+        report_line = cert_line = None
+        if lines:
+            if report and key not in seen:
+                seen.add(key)
+                report_line = _dump({"kind": "nonfibre_report", **report.to_json()})
+            cert_line = _dump({"kind": "certificate", **cert.to_json()})
+        yield cert.label, cert.passed, key, report_line, cert_line
+
+
+def _task_certs(task: Task) -> list:
+    return list(_task(task))
+
+
+def _iter_sweep(cfg: RunConfig, lines: bool) -> Iterator[Iterable[tuple]]:
+    tasks = _tasks(cfg, lines)
     if cfg.jobs == 1:
-        for task in tasks:
-            yield _task_certs(task)
+        yield from map(_task, tasks)
     else:
         with Pool(cfg.jobs) as pool:
             yield from pool.imap(_task_certs, tasks)
@@ -184,49 +216,27 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None) -> engine.SweepSummary:
     summary = engine.SweepSummary()
     seen_reports: set[str] = set()
     if stream:
-        stream.write(
-            _dump(
-                {
-                    "kind": "header",
-                    "schema_version": SCHEMA_VERSION,
-                    "run": _run_config_json(cfg),
-                }
-            )
-            + "\n"
-        )
-    for certs in _iter_sweep(cfg):
-        for cert in certs:
-            summary.add(cert)
+        header = {"kind": "header", "schema_version": SCHEMA_VERSION}
+        stream.write(_dump({**header, "run": _run_config_json(cfg)}) + "\n")
+    for rows in _iter_sweep(cfg, stream is not None):
+        for label, passed, key, report_line, cert_line in rows:
+            summary.add(label, passed)
             if stream:
-                report = cert.nonfibre_report
-                if report is not None and report.key not in seen_reports:
-                    seen_reports.add(report.key)
-                    stream.write(
-                        _dump({"kind": "nonfibre_report", **report.to_json()}) + "\n"
-                    )
-                stream.write(_dump({"kind": "certificate", **cert.to_json()}) + "\n")
+                if report_line and key not in seen_reports:
+                    seen_reports.add(key)
+                    stream.write(report_line + "\n")
+                stream.write(cert_line + "\n")
         if stream:
             stream.flush()
     if stream:
-        stream.write(
-            _dump(
-                {
-                    "kind": "summary",
-                    "schema_version": SCHEMA_VERSION,
-                    **summary.to_json(),
-                }
-            )
-            + "\n"
-        )
+        closing = {"kind": "summary", "schema_version": SCHEMA_VERSION}
+        stream.write(_dump({**closing, **summary.to_json()}) + "\n")
     return summary
 
 
 def _cmd_verify(cfg: RunConfig, negative: bool) -> int:
-    if cfg.out:
-        with open(cfg.out, "w") as stream:
-            summary = run_verify(cfg, stream)
-    else:
-        summary = run_verify(cfg, None)
+    with open(cfg.out, "w") if cfg.out else contextlib.nullcontext() as stream:
+        summary = run_verify(cfg, stream)
     payload = {"run": _run_config_json(cfg), **summary.to_json()}
     if negative:
         payload["failure_witness_found"] = summary.failed > 0
@@ -248,37 +258,25 @@ def _cmd_verify(cfg: RunConfig, negative: bool) -> int:
     return 0 if summary.all_passed else 1
 
 
-def _bounded_matrix_lines(cfg: RunConfig) -> Iterator[dict]:
-    """Full bounded-regime check matrices for every configuration in scope."""
-    from . import nonfibre
-    from .configurations import classify, enumerate_configurations
-
-    seen: set[str] = set()
-    base = DivisorClass(*cfg.base_class) if cfg.base_class else None
-    for tid in cfg.surface_types:
-        s = surface(tid)
-        for k in range(cfg.k_min, cfg.k_max + 1):
-            for config in enumerate_configurations(k, s, cfg.r_max):
-                if config.r == 1:
-                    continue
-                out = classify(config, s)
-                report = nonfibre.analyse(
-                    config, out, s, base if base else DivisorClass(k + 2, k + 2)
-                )
-                if report.key in seen:
-                    continue
-                seen.add(report.key)
-                yield {
-                    "key": report.key,
-                    "label": report.label,
-                    "pass": report.passed,
-                    "cells": [c.to_json() for c in report.bounded],
-                }
+def _emit(cfg: RunConfig, text: str, ok: bool) -> int:
+    if cfg.out:
+        Path(cfg.out).write_text(text + "\n")
+    print(text)
+    return 0 if ok else 1
 
 
 def _cmd_matrix(cfg: RunConfig) -> int:
-    rows = list(_bounded_matrix_lines(cfg))
-    ok = all(r["pass"] for r in rows)
+    """Full bounded-regime check matrices, once per distinct non-fibre report."""
+    reports = {}
+    for task in _tasks(cfg, False):
+        for cert in _certificates(task):
+            if cert.nonfibre_report is not None:
+                reports.setdefault(cert.nonfibre_report.key, cert.nonfibre_report)
+    rows = [
+        {"key": r.key, "label": r.label, "pass": r.passed,
+         "cells": [c.to_json() for c in r.bounded]}
+        for r in reports.values()
+    ]
     if cfg.fmt == "json":
         text = json.dumps(
             {"schema_version": SCHEMA_VERSION, "matrices": rows}, sort_keys=True,
@@ -296,17 +294,12 @@ def _cmd_matrix(cfg: RunConfig) -> int:
                     + ("" if c["pass"] else "  <-- FAIL")
                 )
         text = "\n".join(lines)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
-    print(text)
-    return 0 if ok else 1
+    return _emit(cfg, text, all(r["pass"] for r in rows))
 
 
-def _cmd_table(cfg: RunConfig) -> int:
-    if cfg.matrix:
-        return _cmd_matrix(cfg)
-    computed = tables.bounded_curve_rows()
-    golden = tables.golden_bounded_curve_rows()
+def _cmd_golden(cfg: RunConfig, computed: list[dict], golden: list[dict],
+                render) -> int:
+    """Recomputed table against its golden copy."""
     problems = tables.diff_tables(computed, golden)
     if cfg.fmt == "json":
         out = {
@@ -317,41 +310,13 @@ def _cmd_table(cfg: RunConfig) -> int:
         }
         text = json.dumps(out, sort_keys=True, indent=2)
     else:
-        text = tables.render_curve_table(computed)
+        text = render(computed)
         text += "\n" + (
             "golden copy: match"
             if not problems
             else "golden copy: MISMATCH\n" + "\n".join(problems)
         )
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
-    print(text)
-    return 0 if not problems else 1
-
-
-def _cmd_catalog(cfg: RunConfig) -> int:
-    computed = tables.catalog_rows()
-    golden = tables.golden_catalog_rows()
-    problems = tables.diff_tables(computed, golden)
-    if cfg.fmt == "json":
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "rows": computed,
-            "golden_match": not problems,
-            "problems": problems,
-        }
-        text = json.dumps(out, sort_keys=True, indent=2)
-    else:
-        text = tables.render_catalog(computed)
-        text += "\n" + (
-            "golden copy: match"
-            if not problems
-            else "golden copy: MISMATCH\n" + "\n".join(problems)
-        )
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
-    print(text)
-    return 0 if not problems else 1
+    return _emit(cfg, text, not problems)
 
 
 def _cmd_lp_check(cfg: RunConfig) -> int:
@@ -366,11 +331,7 @@ def _cmd_lp_check(cfg: RunConfig) -> int:
         "system": sys_.to_json(),
         **result.to_json(),
     }
-    text = json.dumps(out, sort_keys=True, indent=2)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
-    print(text)
-    return 0 if result.is_valid else 1
+    return _emit(cfg, json.dumps(out, sort_keys=True, indent=2), result.is_valid)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -422,10 +383,18 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify(cfg, negative=False)
         if cfg.mode == "negative-control":
             return _cmd_verify(cfg, negative=True)
+        if cfg.mode == "table" and cfg.matrix:
+            return _cmd_matrix(cfg)
         if cfg.mode == "table":
-            return _cmd_table(cfg)
+            return _cmd_golden(
+                cfg, tables.bounded_curve_rows(), tables.golden_bounded_curve_rows(),
+                tables.render_curve_table,
+            )
         if cfg.mode == "catalog":
-            return _cmd_catalog(cfg)
+            return _cmd_golden(
+                cfg, tables.catalog_rows(), tables.golden_catalog_rows(),
+                tables.render_catalog,
+            )
         return _cmd_lp_check(cfg)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(

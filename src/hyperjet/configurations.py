@@ -15,11 +15,11 @@ permutations.  Equal normal forms are always genuinely isomorphic; a few
 isomorphic patterns may survive as distinct representatives, which only
 makes the checked set larger.
 
-Classification against the threshold (k+1)/2 (exact rational comparison):
-a block is heavy when its weight sum strictly exceeds the threshold; the
-B-side is additionally tested non-strictly when a heavy A-side block is
-present.  On surfaces where (0,1) is not an effective class (even types),
-B-blocks never classify as heavy.
+Classification against the threshold (k+1)/2, compared as integers: a
+block of weight sum w is heavy when 2w > k+1; the B-side is additionally
+tested non-strictly (2w >= k+1) when a heavy A-side block is present.  On
+surfaces where (0,1) is not an effective class (even types), B-blocks never
+classify as heavy.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ class JetConfiguration:
             for blk in blocks:
                 if not blk:
                     raise ValueError("empty incidence block")
+                if len(set(blk)) != len(blk):
+                    raise ValueError("an incidence block lists a point twice")
                 if set(blk) & seen:
                     raise ValueError("incidence blocks must be disjoint")
                 seen.update(blk)
@@ -133,8 +135,13 @@ class JetConfiguration:
 
 
 def fibre_weight_sum(cfg: JetConfiguration, points: tuple[int, ...]) -> Fraction:
-    """Weight sum of a block, as an exact rational for threshold comparison."""
+    """Weight sum of a block, as an exact rational."""
     return Fraction(cfg.weight_of(points))
+
+
+def is_heavy(weight: int, k: int) -> bool:
+    """A block of this weight sum strictly exceeds the threshold (k+1)/2."""
+    return 2 * weight > k + 1
 
 
 @dataclass(frozen=True)
@@ -156,15 +163,11 @@ class Classification:
 def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
     """Assign a configuration to its proof case.  Total and deterministic.
 
-    Requires k >= 2: 1-jet ampleness of (3,3) is certified externally, so
-    k = 1 never reaches the case analysis.
+    Validates the configuration.  A single point is R1 at every k >= 0; any
+    other configuration requires k >= 2: 1-jet ampleness of (3,3) is
+    certified externally, so k = 1 never reaches the case analysis.
     """
     cfg.validate()
-    if cfg.k < 2:
-        raise ValueError(
-            "classification requires k >= 2 (k = 1 is certified externally "
-            "via very ampleness of type (3,3))"
-        )
     for ab in cfg.a_blocks:
         if ab.kind == INTERMEDIATE_A and ab.fibre_coeff not in s.intermediate_fibre_coeffs:
             raise ValueError(
@@ -175,10 +178,15 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
             raise ValueError(f"full fibre class on type {s.type_id} is ({s.mu},0)")
     if cfg.r == 1:
         return Classification(R1)
+    if cfg.k < 2:
+        raise ValueError(
+            "classification requires k >= 2 (k = 1 is certified externally "
+            "via very ampleness of type (3,3))"
+        )
 
-    half = Fraction(cfg.k + 1, 2)
+    k, weight_of = cfg.k, cfg.weight_of
     heavy_a_idxs = [
-        i for i, ab in enumerate(cfg.a_blocks) if cfg.weight_of(ab.points) > half
+        i for i, ab in enumerate(cfg.a_blocks) if is_heavy(weight_of(ab.points), k)
     ]
     if len(heavy_a_idxs) > 1:
         raise AssertionError("two disjoint heavy blocks would exceed the total weight")
@@ -194,7 +202,7 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
 
     if heavy_a is None:
         strict_heavy_b = [
-            j for j, bb in enumerate(cfg.b_blocks) if cfg.weight_of(bb) > half
+            j for j, bb in enumerate(cfg.b_blocks) if is_heavy(weight_of(bb), k)
         ]
         if len(strict_heavy_b) > 1:
             raise AssertionError("two disjoint heavy B-blocks cannot occur")
@@ -204,13 +212,13 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
 
     s_points = set(cfg.a_blocks[heavy_a].points)
     weak_heavy_b = [
-        j for j, bb in enumerate(cfg.b_blocks) if cfg.weight_of(bb) >= half
+        j for j, bb in enumerate(cfg.b_blocks) if 2 * weight_of(bb) >= k + 1
     ]
     if not weak_heavy_b:
         return Classification(_a_label(cfg.a_blocks[heavy_a].kind, False), heavy_a)
     sharing = [j for j in weak_heavy_b if s_points & set(cfg.b_blocks[j])]
     if not sharing:
-        # sum(S) > (k+1)/2 and sum(T) >= (k+1)/2 force S and T to meet
+        # 2 sum(S) > k+1 and 2 sum(T) >= k+1 force S and T to meet
         raise AssertionError("heavy A- and B-blocks must share a point")
     heavy_b = sharing[0]
     shared = sorted(s_points & set(cfg.b_blocks[heavy_b]))
@@ -389,7 +397,6 @@ def enumerate_configurations(
     if not 1 <= r_max <= k + 1:
         raise ValueError(f"r_max must be in 1..{k + 1}")
 
-    half = Fraction(k + 1, 2)
     yield JetConfiguration(
         k, (k + 1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),)
     )
@@ -400,9 +407,8 @@ def enumerate_configurations(
             for matrix in incidence_structures(weights):
                 w, a_pts, b_blocks = _structure_to_blocks(matrix)
                 heavy = [
-                    i
-                    for i, pts in enumerate(a_pts)
-                    if Fraction(sum(w[p] for p in pts)) > half
+                    i for i, pts in enumerate(a_pts)
+                    if is_heavy(sum(w[p] for p in pts), k)
                 ]
                 options: list[tuple[int, str, int]]
                 if not heavy:

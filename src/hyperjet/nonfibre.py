@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from . import lp
 from .configurations import (
@@ -44,7 +43,6 @@ from .configurations import (
     Classification,
     JetConfiguration,
 )
-from .genus import CurveCandidate, genus_admissible
 from .lattice import (
     BlowupClass,
     DivisorClass,
@@ -85,102 +83,6 @@ def point_offsets(
             offsets[p] = 0
         return tuple(offsets), DivisorClass(0, q)
     raise ValueError(f"label {label} has no non-fibre checks")
-
-
-def target_inequality(
-    cfg: JetConfiguration,
-    cls: Classification,
-    candidate: CurveCandidate,
-    s: SurfaceType,
-    base: DivisorClass,
-) -> int:
-    """Exact value of the case inequality for one curve candidate.
-
-    Computed in closed form and cross-checked against the blow-up
-    intersection of the corrected class with the strict transform.
-    """
-    if candidate.cls.a <= 0 or candidate.cls.b <= 0:
-        raise ValueError("non-fibre candidates have alpha > 0 and beta > 0")
-    if len(candidate.mults) != cfg.r:
-        raise ValueError("multiplicity arity mismatch")
-    offsets, corr = point_offsets(cfg, cls, s)
-    coefs = tuple(k + c for k, c in zip(cfg.weights, offsets))
-    value = intersect(base - corr, candidate.cls) - sum(
-        c * m for c, m in zip(coefs, candidate.mults)
-    )
-    twisted = BlowupClass(base - corr, coefs)
-    transform = BlowupClass(candidate.cls, candidate.mults)
-    if value != blowup_intersect(twisted, transform):
-        raise AssertionError("closed form disagrees with blow-up intersection")
-    return value
-
-
-def _distinct_permutations(items: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    pool = sorted(items)
-    n = len(pool)
-    used = [False] * n
-    cur: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(cur) == n:
-            yield tuple(cur)
-            return
-        prev: int | None = None
-        for i in range(n):
-            if used[i] or pool[i] == prev:
-                continue
-            prev = pool[i]
-            used[i] = True
-            cur.append(pool[i])
-            yield from rec()
-            cur.pop()
-            used[i] = False
-
-    yield from rec()
-
-
-@dataclass(frozen=True)
-class BoundedCheck:
-    alpha: int
-    beta: int
-    mults: tuple[int, ...]
-    value: int
-    strict: bool
-    passed: bool
-
-
-def check_bounded(
-    cfg: JetConfiguration,
-    cls: Classification,
-    s: SurfaceType,
-    base: DivisorClass,
-    cap: int | None = None,
-) -> list[BoundedCheck]:
-    """Every bounded-regime check, fully materialized.
-
-    For each class (alpha, beta) in the 4x4 box and every genus-admissible
-    assignment of multiplicities to the labeled points, evaluates the target
-    directly.  No reduction lemmas are involved.
-    """
-    from .genus import enumerate_admissible, max_single_multiplicity
-
-    strict = cls.label in NORIMATSU_LABELS
-    out: list[BoundedCheck] = []
-    for alpha in range(1, BOUNDED_MAX + 1):
-        for beta in range(1, BOUNDED_MAX + 1):
-            ccls = DivisorClass(alpha, beta)
-            this_cap = cap if cap is not None else max_single_multiplicity(ccls)
-            for vec in enumerate_admissible(ccls, cfg.r, this_cap):
-                for assignment in _distinct_permutations(vec):
-                    cand = CurveCandidate(ccls, assignment)
-                    if not genus_admissible(cand):
-                        continue
-                    value = target_inequality(cfg, cls, cand, s, base)
-                    passed = value > 0 if strict else value >= 0
-                    out.append(
-                        BoundedCheck(alpha, beta, assignment, value, strict, passed)
-                    )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hyperjet.lattice import (
     is_ample,
 )
 from hyperjet.surfaces import catalog, surface
-from oracle_helpers import naive_bounded_checks
+from oracle_helpers import check_bounded, naive_bounded_checks
 
 K_RANGE = range(2, 9)
 TIME_BUDGET_SWEEP = 300.0
@@ -127,7 +127,7 @@ def test_criterion_5_bounded_oracle_agreement():
                 expected = naive_bounded_checks(cfg, divisor, strict, box=4, cap=6)
                 got = {
                     (c.alpha, c.beta, c.mults, c.value, c.passed)
-                    for c in nonfibre.check_bounded(cfg, out, s, base, cap=6)
+                    for c in check_bounded(cfg, out, s, base, cap=6)
                 }
                 assert got == expected, (tid, k, cfg.to_json())
                 compared += 1

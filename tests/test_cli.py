@@ -165,3 +165,22 @@ def test_parallel_jobs_match_serial(capsys, tmp_path):
     run_cli(capsys, "verify", "--types", "1,2", "--k", "2..3", "--jobs", "2",
             "--out", str(b2))
     assert b1.read_bytes() == b2.read_bytes()
+
+
+def test_r_max_above_k_plus_one_is_capped_per_k(capsys, tmp_path):
+    bundle = tmp_path / "capped.jsonl"
+    code, _, err = run_cli(
+        capsys, "verify", "--types", "1", "--k", "2..4", "--r-max", "4",
+        "--out", str(bundle),
+    )
+    assert code == 0, err
+    records = [json.loads(line) for line in bundle.read_text().splitlines()]
+    summary = records[-1]
+    assert summary["kind"] == "summary" and summary["pass"] is True
+    certs = [r for r in records if r["kind"] == "certificate"]
+    assert summary["total"] == len(certs)
+    assert {len(c["config"]["weights"]) for c in certs} == {1, 2, 3, 4}
+    code, _, err = run_cli(
+        capsys, "table", "--matrix", "--types", "1", "--k", "2..4", "--r-max", "4"
+    )
+    assert code == 0, err

@@ -237,6 +237,8 @@ def test_validation_errors():
                singletons(2)).validate()
     with pytest.raises(ValueError, match="cover"):
         cfg_of(2, (2, 1), [((0,), SINGULAR_A, 1)], singletons(2)).validate()
+    with pytest.raises(ValueError, match="twice"):
+        cfg_of(2, (2, 1), [((0, 0, 1), SINGULAR_A, 1)], singletons(2)).validate()
 
 
 def test_heavy_kind_options_per_type():

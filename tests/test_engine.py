@@ -254,6 +254,21 @@ def test_light_block_checks_dominated_by_minimal_class():
                 assert values[1] <= values[2] <= values[3] <= values[s.mu]
 
 
+def test_fibre_closed_form_matches_blowup_pairing():
+    """Every recorded fibre value equals the blow-up pairing it stands for."""
+    for type_id in range(1, 8):
+        for k in range(2, 5):
+            for cert in iter_certificates(surface(type_id), k):
+                divisor = cert.n_class if cert.n_class is not None else cert.m_class
+                r = cert.config.r
+                for check in cert.checks:
+                    if check.kind != "fibre":
+                        continue
+                    indicator = tuple(int(i in check.block) for i in range(r))
+                    transform = BlowupClass(DivisorClass(*check.curve), indicator)
+                    assert check.value == blowup_intersect(divisor, transform)
+
+
 def test_verify_pipeline_type1_k2_all_pass():
     for cert in iter_certificates(surface(1), 2):
         assert cert.passed, cert.to_json()

