@@ -14,7 +14,6 @@ from .configurations import (
     JetConfiguration,
     classify,
     enumerate_configurations,
-    fibre_weight_sum,
 )
 from .engine import (
     Certificate,
@@ -72,7 +71,6 @@ __all__ = [
     "enumerate_configurations",
     "externally_certified_k1",
     "fibre_classes",
-    "fibre_weight_sum",
     "genus_admissible",
     "h0_ample",
     "intersect",

@@ -31,6 +31,7 @@ from .surfaces import surface
 SCHEMA_VERSION = "1"
 
 _MODES = ("verify", "table", "catalog", "negative-control", "lp-check")
+_CONFIG_KEYS = ("types", "k", "r-max", "class", "out", "format", "jobs")
 
 
 @dataclasses.dataclass
@@ -118,6 +119,11 @@ def _load_config_file(path: str) -> dict[str, str]:
 
 def build_run_config(mode: str, args: argparse.Namespace) -> RunConfig:
     file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(file_vals) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys {unknown}; expected {', '.join(_CONFIG_KEYS)}"
+        )
 
     def pick(flag: str, key: str) -> str | None:
         v = getattr(args, flag, None)
@@ -195,10 +201,11 @@ def _task_certs(task: Task) -> list:
 
 def _iter_sweep(cfg: RunConfig, lines: bool) -> Iterator[Iterable[tuple]]:
     tasks = _tasks(cfg, lines)
-    if cfg.jobs == 1:
+    jobs = min(cfg.jobs, len(tasks))
+    if jobs == 1:
         yield from map(_task, tasks)
     else:
-        with Pool(cfg.jobs) as pool:
+        with Pool(jobs) as pool:
             yield from pool.imap(_task_certs, tasks)
 
 

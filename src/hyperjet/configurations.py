@@ -25,7 +25,6 @@ classify as heavy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
@@ -46,9 +45,6 @@ CASE_IIIB = "IIIb"
 CASE_IV = "IV"
 SING_M_A = "SingM-a"
 SING_M_B = "SingM-b"
-
-ALL_LABELS = (R1, CASE_I, CASE_IIA, CASE_IIB, CASE_IIIA, CASE_IIIB, CASE_IV,
-              SING_M_A, SING_M_B)
 
 # Labels proved via Kawamata-Viehweg (M nef and big); the rest go through
 # Norimatsu (N = M - F ample, F an SNC correction).
@@ -132,11 +128,6 @@ class JetConfiguration:
             "a_blocks": [b.to_json() for b in self.a_blocks],
             "b_blocks": [list(b) for b in self.b_blocks],
         }
-
-
-def fibre_weight_sum(cfg: JetConfiguration, points: tuple[int, ...]) -> Fraction:
-    """Weight sum of a block, as an exact rational."""
-    return Fraction(cfg.weight_of(points))
 
 
 def is_heavy(weight: int, k: int) -> bool:

@@ -33,10 +33,13 @@ Number = int | Fraction
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -104,18 +107,30 @@ class LinearSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LinearSystem":
-        variables = tuple(obj["variables"])
+        """Parse `to_json` output; malformed input raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError("a linear system must be a JSON object")
+
+        def items(o: dict, key: str) -> list:
+            if not isinstance(o[key], list):
+                raise TypeError(f"{key!r} must be a list")
+            return o[key]
 
         def parse(c: dict) -> Constraint:
             return Constraint(
-                tuple(_frac(x) for x in c["coeffs"]), c["rel"], _frac(c["bound"])
+                tuple(_frac(x) for x in items(c, "coeffs")), c["rel"], _frac(c["bound"])
             )
 
-        return cls(
-            variables,
-            tuple(parse(c) for c in obj["constraints"]),
-            parse(obj["target"]),
-        )
+        try:
+            return cls(
+                tuple(items(obj, "variables")),
+                tuple(parse(c) for c in items(obj, "constraints")),
+                parse(obj["target"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"linear system is missing the key {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed linear system: {exc}") from None
 
 
 def system(

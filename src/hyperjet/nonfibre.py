@@ -2,12 +2,14 @@
 
 For a curve C = (alpha, beta) with alpha, beta >= 1 passing through the
 configuration points with multiplicities m_i, the required inequality is
-M.C~ >= 0 (nef cases) or N.C~ > 0 (ample cases), where C~ is the strict
-transform.  Writing the case's divisor as pi*(base - corr) - sum(k_i + c_i)E_i
-with per-point offsets c_i (+1 off the heavy fibres, 0 on them, -1 at the
-point shared by two corrected fibres), the target value is
+M.C~ >= 0 (nef cases) or N.C~ > 0 (ample cases), where C~ = pi*C - sum m_i E_i
+is the strict transform.  The target is the class the engine checks, M or
+N = M - F, paired with C~: writing it as pi*(base - corr) - sum c_i E_i, the
+target value is
 
-    (base - corr).C  -  sum (k_i + c_i) * m_i.
+    (base - corr).C  -  sum c_i * m_i,
+
+so a report depends only on the label, the sorted c_i, corr, base and k.
 
 Two regimes cover all candidates:
 
@@ -41,7 +43,6 @@ from .configurations import (
     SING_M_A,
     SING_M_B,
     Classification,
-    JetConfiguration,
 )
 from .lattice import (
     BlowupClass,
@@ -51,38 +52,10 @@ from .lattice import (
     interpolating_divisor_exists,
     jet_condition_count,
 )
-from .surfaces import SurfaceType
 
 BOUNDED_MAX = 4          # bounded regime: alpha <= 4 and beta <= 4
 UNBOUNDED_MIN_SUM = 6    # alpha > 4 or beta > 4 forces alpha + beta >= 6
 AUX_CLASS = DivisorClass(4, 4)  # auxiliary interpolating divisors live in |(4,4)|
-
-
-def point_offsets(
-    cfg: JetConfiguration, cls: Classification, s: SurfaceType
-) -> tuple[tuple[int, ...], DivisorClass]:
-    """Per-point coefficient offsets and the correction class subtracted from L."""
-    label = cls.label
-    q = s.b_fibre_coeff
-    offsets = [1] * cfg.r
-    if label in (CASE_I, CASE_IIIA, SING_M_A):
-        return tuple(offsets), DivisorClass(0, 0)
-    if label == CASE_IIA:
-        for p in cfg.a_blocks[cls.heavy_a].points:
-            offsets[p] = 0
-        return tuple(offsets), DivisorClass(1, 0)
-    if label == CASE_IIB:
-        for p in cfg.a_blocks[cls.heavy_a].points:
-            offsets[p] = 0
-        for p in cfg.b_blocks[cls.heavy_b]:
-            offsets[p] = 0
-        offsets[cls.shared_point] = -1
-        return tuple(offsets), DivisorClass(1, q)
-    if label in (CASE_IIIB, SING_M_B, CASE_IV):
-        for p in cfg.b_blocks[cls.heavy_b]:
-            offsets[p] = 0
-        return tuple(offsets), DivisorClass(0, q)
-    raise ValueError(f"label {label} has no non-fibre checks")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +107,10 @@ class BoundedCellCheck:
     min_value: int
     witness: tuple[int, ...]  # multiplicities in sorted-coefficient order
     strict: bool
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.min_value > 0 if self.strict else self.min_value >= 0
 
     def to_json(self) -> dict:
         return {
@@ -163,10 +139,7 @@ def bounded_cells(
             transform = BlowupClass(DivisorClass(alpha, beta), witness)
             if blowup_intersect(twisted, transform) != value:
                 raise AssertionError("extremal bounded check failed cross-check")
-            passed = value > 0 if strict else value >= 0
-            cells.append(
-                BoundedCellCheck(alpha, beta, value, witness, strict, passed)
-            )
+            cells.append(BoundedCellCheck(alpha, beta, value, witness, strict))
     return tuple(cells)
 
 
@@ -511,19 +484,18 @@ def _report_for_key(
 
 
 def analyse(
-    cfg: JetConfiguration,
-    cls: Classification,
-    s: SurfaceType,
-    base: DivisorClass,
+    cls: Classification, checked: BlowupClass, base: DivisorClass, k: int
 ) -> NonFibreReport:
-    """Non-fibre report for a configuration (cached by arithmetic content)."""
-    offsets, corr = point_offsets(cfg, cls, s)
-    coefs = tuple(sorted(k + c for k, c in zip(cfg.weights, offsets)))
+    """Non-fibre report for the checked class M or N (cached by arithmetic content).
+
+    `checked` is pi*(base - corr) - sum c_i E_i; the report reads the sorted
+    c_i and corr = base - checked.base.
+    """
     return _report_for_key(
         cls.label,
-        coefs,
-        corr.to_pair(),
+        tuple(sorted(checked.exc)),
+        (base - checked.base).to_pair(),
         base.to_pair(),
-        cfg.k,
+        k,
         cls.shared_point is not None,
     )

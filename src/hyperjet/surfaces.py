@@ -22,8 +22,6 @@ INTERMEDIATE_A = "intermediate-A"  # singular fibre m*(A/mu), 1 < m <= mu/2
 FULL_A = "full-A"              # general fibre A = (mu, 0)
 B_FIBRE = "B"                  # fibre of the second fibration, (0, gamma/mu)
 
-FIBRE_KINDS = (SINGULAR_A, INTERMEDIATE_A, FULL_A, B_FIBRE)
-
 
 @dataclass(frozen=True)
 class SurfaceType:

@@ -13,7 +13,19 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
-from hyperjet.configurations import NORIMATSU_LABELS, Classification, JetConfiguration
+from hyperjet.configurations import (
+    CASE_I,
+    CASE_IIA,
+    CASE_IIB,
+    CASE_IIIA,
+    CASE_IIIB,
+    CASE_IV,
+    NORIMATSU_LABELS,
+    SING_M_A,
+    SING_M_B,
+    Classification,
+    JetConfiguration,
+)
 from hyperjet.genus import (
     CurveCandidate,
     enumerate_admissible,
@@ -21,7 +33,7 @@ from hyperjet.genus import (
     max_single_multiplicity,
 )
 from hyperjet.lattice import BlowupClass, DivisorClass, blowup_intersect, intersect
-from hyperjet.nonfibre import BOUNDED_MAX, point_offsets
+from hyperjet.nonfibre import BOUNDED_MAX
 from hyperjet.surfaces import SurfaceType
 
 
@@ -121,6 +133,39 @@ def naive_bounded_checks(cfg: JetConfiguration, twisted: BlowupClass, strict: bo
                 passed = value > 0 if strict else value >= 0
                 out.add((alpha, beta, mults, value, passed))
     return out
+
+
+def point_offsets(
+    cfg: JetConfiguration, cls: Classification, s: SurfaceType
+) -> tuple[tuple[int, ...], DivisorClass]:
+    """Per-point coefficient offsets and the correction class subtracted from L.
+
+    Derived from the case label alone, independently of the engine's
+    correction divisor: the checked class is pi*(L - corr) - sum (k_i + c_i)E_i
+    with c_i = +1 off the heavy fibres, 0 on them, and -1 at the point shared
+    by two corrected fibres.
+    """
+    label = cls.label
+    q = s.b_fibre_coeff
+    offsets = [1] * cfg.r
+    if label in (CASE_I, CASE_IIIA, SING_M_A):
+        return tuple(offsets), DivisorClass(0, 0)
+    if label == CASE_IIA:
+        for p in cfg.a_blocks[cls.heavy_a].points:
+            offsets[p] = 0
+        return tuple(offsets), DivisorClass(1, 0)
+    if label == CASE_IIB:
+        for p in cfg.a_blocks[cls.heavy_a].points:
+            offsets[p] = 0
+        for p in cfg.b_blocks[cls.heavy_b]:
+            offsets[p] = 0
+        offsets[cls.shared_point] = -1
+        return tuple(offsets), DivisorClass(1, q)
+    if label in (CASE_IIIB, SING_M_B, CASE_IV):
+        for p in cfg.b_blocks[cls.heavy_b]:
+            offsets[p] = 0
+        return tuple(offsets), DivisorClass(0, q)
+    raise ValueError(f"label {label} has no non-fibre checks")
 
 
 def target_inequality(

@@ -1,5 +1,6 @@
 import json
 
+from hyperjet import cli
 from hyperjet.cli import main
 
 
@@ -143,6 +144,29 @@ def test_invalid_inputs_are_machine_readable(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, "lp-check", str(tmp_path / "missing.json"))
     assert code == 2
+    # malformed systems are input errors (exit 2), not failed implications
+    target = {"coeffs": ["1"], "rel": ">=", "bound": "0"}
+    system = {"variables": ["x"], "constraints": [], "target": target}
+    path = tmp_path / "bad.json"
+    for payload in (
+        {"variables": ["x"], "constraints": []},
+        dict(system, target=dict(target, coeffs=[1.5])),
+        dict(system, target=dict(target, bound="1/0")),
+        dict(system, target=dict(target, coeffs="1")),
+        dict(system, target=dict(target, coeffs=[True])),
+        [system],
+    ):
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "lp-check", str(path))
+        assert code == 2, payload
+        assert json.loads(err)["error"]["type"] == "ValueError"
+    conf = tmp_path / "typo.conf"
+    conf.write_text("r_max = 2\n")
+    code, _, err = run_cli(
+        capsys, "verify", "--types", "1", "--k", "2..3", "--config", str(conf)
+    )
+    assert code == 2
+    assert "r_max" in json.loads(err)["error"]["message"]
 
 
 def test_table_matrix_dump(capsys):
@@ -157,6 +181,31 @@ def test_table_matrix_dump(capsys):
     assert payload["matrices"] and all(
         len(m["cells"]) == 16 for m in payload["matrices"]
     )
+
+
+def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "Pool", InlinePool)
+    code, _, _ = run_cli(capsys, "verify", "--types", "1", "--k", "2", "--jobs", "8")
+    assert code == 0 and sizes == []  # one task: the serial path
+    code, _, _ = run_cli(
+        capsys, "verify", "--types", "1", "--k", "2..3", "--jobs", "8"
+    )
+    assert code == 0 and sizes == [2]
 
 
 def test_parallel_jobs_match_serial(capsys, tmp_path):

@@ -16,7 +16,6 @@ from hyperjet.configurations import (
     JetConfiguration,
     classify,
     enumerate_configurations,
-    fibre_weight_sum,
     incidence_structures,
     weight_partitions,
 )
@@ -70,15 +69,6 @@ def test_structures_match_independent_labeled_generator(k):
             continue
         mine = {exact_canonical(m) for m in incidence_structures(weights)}
         assert mine == labeled_structures_canonicalized(weights), weights
-
-
-def test_fibre_weight_sum_examples():
-    cfg = cfg_of(3, (2, 2), [((0, 1), SINGULAR_A, 1)], singletons(2))
-    assert fibre_weight_sum(cfg, (0, 1)) == Fraction(4) > Fraction(4, 2)
-    cfg2 = cfg_of(2, (2, 1), [((0,), SINGULAR_A, 1), ((1,), SINGULAR_A, 1)],
-                  singletons(2))
-    assert fibre_weight_sum(cfg2, (0,)) == 2 > Fraction(3, 2)
-    assert fibre_weight_sum(cfg2, (1,)) == 1 < Fraction(3, 2)
 
 
 def test_classify_r1():

@@ -24,7 +24,7 @@ from hyperjet.engine import (
     verify,
 )
 from hyperjet.lattice import BlowupClass, DivisorClass, blowup_intersect
-from hyperjet.surfaces import SINGULAR_A, surface
+from hyperjet.surfaces import FULL_A, SINGULAR_A, surface
 
 
 def cfg_of(k, weights, a_specs, b_blocks):
@@ -178,7 +178,6 @@ def test_fibre_chain_case_iib_heavy_blocks():
 
 def test_fibre_chain_case_iiia_heavy_full_fibre():
     from hyperjet.configurations import CASE_IIIA
-    from hyperjet.surfaces import FULL_A
 
     cfg = cfg_of(
         3, (1, 1, 1, 1),
@@ -305,9 +304,15 @@ def test_externally_certified_k1():
 
 
 def test_verify_r1_any_k():
-    cfg = JetConfiguration(0, (1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),))
-    cert = verify(cfg, surface(6))
-    assert cert.label == "R1" and cert.passed
+    cases = (
+        (JetConfiguration(0, (1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),)), 6),
+        # a single point on a full fibre (coefficient mu = 4 on type 3)
+        (JetConfiguration(2, (3,), (ABlock((0,), FULL_A, 4),), ((0,),)), 3),
+    )
+    for cfg, type_id in cases:
+        cert = verify(cfg, surface(type_id))
+        assert cert.label == "R1" and cert.passed
+        assert cert.config == cfg
 
 
 def test_certificate_json_shape():

@@ -10,11 +10,22 @@ from hyperjet.configurations import (
     JetConfiguration,
     classify,
 )
-from hyperjet.engine import build_correction, build_twist, default_base
+from hyperjet.engine import (
+    build_correction,
+    build_twist,
+    default_base,
+    iter_certificates,
+    verify,
+)
 from hyperjet.genus import CurveCandidate
 from hyperjet.lattice import BlowupClass, DivisorClass
 from hyperjet.surfaces import SINGULAR_A, surface
-from oracle_helpers import check_bounded, naive_bounded_checks, target_inequality
+from oracle_helpers import (
+    check_bounded,
+    naive_bounded_checks,
+    point_offsets,
+    target_inequality,
+)
 
 
 def cfg_of(k, weights, a_specs, b_blocks):
@@ -72,7 +83,7 @@ def test_target_matches_engine_divisor():
             divisor = build_twist(cfg.k, cfg.weights, base)
         else:
             _, divisor = build_correction(cfg, out, s, base)
-        offsets, corr = nonfibre.point_offsets(cfg, out, s)
+        offsets, corr = point_offsets(cfg, out, s)
         rebuilt = BlowupClass(
             base - corr, tuple(k + c for k, c in zip(cfg.weights, offsets))
         )
@@ -112,7 +123,7 @@ def test_bounded_cells_agree_with_full_enumeration():
         out = classify(cfg, s)
         base = default_base(cfg.k)
         full = check_bounded(cfg, out, s, base)
-        report = nonfibre.analyse(cfg, out, s, base)
+        report = verify(cfg, s, base).nonfibre_report
         by_cell = {}
         for chk in full:
             key = (chk.alpha, chk.beta)
@@ -211,6 +222,30 @@ def test_regimes_cover_all_candidate_classes():
 def test_reports_are_cached_by_arithmetic_content():
     s = surface(1)
     out = classify(CASE_I_CFG, s)
-    r1 = nonfibre.analyse(CASE_I_CFG, out, s, default_base(2))
-    r2 = nonfibre.analyse(CASE_I_CFG, out, s, default_base(2))
+    m_class = build_twist(2, CASE_I_CFG.weights, default_base(2))
+    r1 = nonfibre.analyse(out, m_class, default_base(2), 2)
+    r2 = nonfibre.analyse(out, m_class, default_base(2), 2)
     assert r1 is r2
+
+
+@pytest.mark.parametrize("type_id", range(1, 8))
+def test_report_keys_match_oracle_offsets(type_id):
+    """Every certificate's report key, rebuilt from the oracle's offsets.
+
+    The engine hands `analyse` the class it checks (M or N); the oracle
+    derives the coefficients and the correction from the case label alone.
+    """
+    s = surface(type_id)
+    for k in range(2, 6):
+        base = default_base(k)
+        for cert in iter_certificates(s, k):
+            if cert.nonfibre_report is None:
+                continue
+            cls = classify(cert.config, s)
+            offsets, corr = point_offsets(cert.config, cls, s)
+            coefs = sorted(w + c for w, c in zip(cert.config.weights, offsets))
+            key = (
+                f"{cls.label}|{','.join(map(str, coefs))}|corr{corr.to_pair()}"
+                f"|base{base.to_pair()}|k{k}"
+            )
+            assert cert.nonfibre_report.key == key, cert.config
