@@ -26,7 +26,7 @@ from typing import IO, Iterable, Iterator
 
 from . import engine, lp, tables
 from .lattice import DivisorClass
-from .surfaces import surface
+from .surfaces import SurfaceType, surface
 
 SCHEMA_VERSION = "1"
 
@@ -153,8 +153,11 @@ def build_run_config(mode: str, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 Task = tuple[int, int, tuple[int, int] | None, int, bool]
@@ -169,21 +172,47 @@ def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
     ]
 
 
-def _certificates(task: Task) -> Iterator[engine.Certificate]:
+def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, int]:
+    """(surface, k, base, r_max) of a task, as the engine's iterators take them."""
     type_id, k, base_pair, r_max, _ = task
-    base = DivisorClass(*base_pair) if base_pair else None
-    return engine.iter_certificates(surface(type_id), k, base, r_max)
+    return surface(type_id), k, DivisorClass(*base_pair) if base_pair else None, r_max
+
+
+def _certificate_line(cert: engine.Certificate, checks: str) -> str:
+    """`_dump({"kind": "certificate", **cert.to_json()})`, given its encoded checks.
+
+    Keys in sorted order: "base" first, then "checks", then the rest.
+    """
+    report = cert.nonfibre_report
+    rest = _dump({
+        "config": cert.config.to_json(),
+        "f_class": cert.f_class.to_json() if cert.f_class else None,
+        "k": cert.k,
+        "kind": "certificate",
+        "label": cert.label,
+        "m_class": cert.m_class.to_json(),
+        "n_class": cert.n_class.to_json() if cert.n_class else None,
+        "nonfibre_ref": report.key if report else None,
+        "pass": cert.passed,
+        "seshadri_axiom": cert.seshadri_axiom,
+        "snc_axiom": cert.snc_axiom,
+        "surface_type": cert.surface_type,
+        "vanishing_theorem": cert.vanishing_theorem,
+    })
+    a, b = cert.base.to_pair()
+    return f'{{"base":[{a},{b}],"checks":[{checks}],{rest[1:]}'
 
 
 def _task(task: Task) -> Iterator[tuple[str, bool, str | None, str | None, str | None]]:
     """(label, pass, report key, report line, certificate line) per certificate.
 
     Lines are built only for a bundle; a report's line comes with its first
-    use in the task.
+    use in the task, and each distinct check record is encoded once per task.
     """
     lines = task[-1]
     seen: set[str] = set()
-    for cert in _certificates(task):
+    encoded: dict[engine.CheckRecord, str] = {}
+    for cert in engine.iter_certificates(*_scope(task)):
         report = cert.nonfibre_report
         key = report.key if report else None
         report_line = cert_line = None
@@ -191,7 +220,13 @@ def _task(task: Task) -> Iterator[tuple[str, bool, str | None, str | None, str |
             if report and key not in seen:
                 seen.add(key)
                 report_line = _dump({"kind": "nonfibre_report", **report.to_json()})
-            cert_line = _dump({"kind": "certificate", **cert.to_json()})
+            checks = []
+            for check in cert.checks:
+                text = encoded.get(check)
+                if text is None:
+                    text = encoded[check] = _dump(check.to_json())
+                checks.append(text)
+            cert_line = _certificate_line(cert, ",".join(checks))
         yield cert.label, cert.passed, key, report_line, cert_line
 
 
@@ -276,9 +311,8 @@ def _cmd_matrix(cfg: RunConfig) -> int:
     """Full bounded-regime check matrices, once per distinct non-fibre report."""
     reports = {}
     for task in _tasks(cfg, False):
-        for cert in _certificates(task):
-            if cert.nonfibre_report is not None:
-                reports.setdefault(cert.nonfibre_report.key, cert.nonfibre_report)
+        for report in engine.iter_reports(*_scope(task)):
+            reports.setdefault(report.key, report)
     rows = [
         {"key": r.key, "label": r.label, "pass": r.passed,
          "cells": [c.to_json() for c in r.bounded]}

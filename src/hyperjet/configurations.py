@@ -105,18 +105,26 @@ class JetConfiguration:
                 seen.update(blk)
             if seen != pts:
                 raise ValueError("incidence blocks must cover all points")
-        for ab in self.a_blocks:
+        # The blocks partition the points, so an A-block and a B-block share
+        # at most one point exactly when no cell (A-block, B-block) holds two.
+        row = {p: i for i, ab in enumerate(self.a_blocks) for p in ab.points}
+        cells: set[tuple[int, int]] = set()
+        shared = len(self.a_blocks)  # first A-block with a doubly held cell
+        for j, bb in enumerate(self.b_blocks):
+            for p in bb:
+                cell = (row[p], j)
+                if cell in cells:
+                    shared = min(shared, row[p])
+                cells.add(cell)
+        for i, ab in enumerate(self.a_blocks):
             if ab.kind not in (SINGULAR_A, INTERMEDIATE_A, FULL_A):
                 raise ValueError(f"unknown A-block kind {ab.kind!r}")
             if ab.kind == SINGULAR_A and ab.fibre_coeff != 1:
                 raise ValueError("singular-A blocks carry fibre class (1,0)")
             if ab.kind != SINGULAR_A and ab.fibre_coeff < 2:
                 raise ValueError("non-minimal fibre coefficient must be >= 2")
-            for bb in self.b_blocks:
-                if len(set(ab.points) & set(bb)) > 1:
-                    raise ValueError(
-                        "an A-block and a B-block share at most one point"
-                    )
+            if i == shared:
+                raise ValueError("an A-block and a B-block share at most one point")
 
     def weight_of(self, points: tuple[int, ...]) -> int:
         return sum(self.weights[i] for i in points)

@@ -39,7 +39,7 @@ from .configurations import (
     enumerate_configurations,
 )
 from .lattice import BlowupClass, DivisorClass, intersect
-from .surfaces import SINGULAR_A, SurfaceType, fibre_classes
+from .surfaces import B_FIBRE, SINGULAR_A, SurfaceType, fibre_classes
 
 KAWAMATA_VIEHWEG = "KawamataViehweg"
 NORIMATSU = "Norimatsu"
@@ -52,16 +52,37 @@ def default_base(k: int) -> DivisorClass:
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One inequality of a certificate: value > 0 (strict) or value >= 0.
+
+    Square and fibre checks name the checked divisor ("M" or "N") and, for a
+    fibre, its kind; their description is rendered from these fields.  The
+    single-point checks carry their text as built.
+    """
+
     kind: str  # "square" | "fibre" | "nef-threshold" | "bigness"
-    description: str
     value: int
     strict: bool
+    divisor: str | None = None
     curve: tuple[int, int] | None = None
     block: tuple[int, ...] | None = None
+    fibre: str | None = None
+    text: str | None = None
 
     @property
     def passed(self) -> bool:
         return self.value > 0 if self.strict else self.value >= 0
+
+    @property
+    def description(self) -> str:
+        if self.kind == "square":
+            return f"{self.divisor}^2"
+        if self.kind == "fibre":
+            if self.block:
+                where = f"{self.fibre} fibre through {list(self.block)}"
+            else:
+                where = f"fresh {self.fibre} fibre"
+            return f"{self.divisor}.C~ for {where}"
+        return self.text
 
     def to_json(self) -> dict:
         obj = {
@@ -151,7 +172,7 @@ def build_correction(
 
 
 def certify_square(cls_: BlowupClass, strict: bool, what: str) -> CheckRecord:
-    return CheckRecord("square", f"{what}^2", cls_.square(), strict)
+    return CheckRecord("square", cls_.square(), strict, what)
 
 
 def certify_fibres(
@@ -173,22 +194,17 @@ def certify_fibres(
     base.a*b + a*base.b - sum_{i in block} exc[i].
     """
     bq = s.b_fibre_coeff
-    fibres = [
-        ((ab.fibre_coeff, 0), ab.points, f"{ab.kind} fibre through {list(ab.points)}")
-        for ab in cfg.a_blocks
-    ]
-    fibres += [((0, bq), bb, f"B fibre through {list(bb)}") for bb in cfg.b_blocks]
-    fibres += [
-        (curve.to_pair(), (), f"fresh {kind} fibre") for curve, kind in fibre_classes(s)
-    ]
+    fibres = [((ab.fibre_coeff, 0), ab.points, ab.kind) for ab in cfg.a_blocks]
+    fibres += [((0, bq), bb, B_FIBRE) for bb in cfg.b_blocks]
+    fibres += [(curve.to_pair(), (), kind) for curve, kind in fibre_classes(s)]
     base, exc = divisor.base, divisor.exc
-    checks = []
-    for (a, b), block, desc in fibres:
-        value = base.a * b + a * base.b - sum(exc[i] for i in block)
-        checks.append(CheckRecord(
-            "fibre", f"{what}.C~ for {desc}", value, strict, (a, b), block
-        ))
-    return checks
+    return [
+        CheckRecord(
+            "fibre", base.a * b + a * base.b - sum(exc[i] for i in block), strict,
+            what, (a, b), block, kind,
+        )
+        for (a, b), block, kind in fibres
+    ]
 
 
 def certify_r1(
@@ -211,16 +227,17 @@ def certify_r1(
     available = min(base.a, base.b) * SESHADRI_UNIT_BOUND
     nef = CheckRecord(
         "nef-threshold",
-        f"Seshadri lower bound min(a,b) = {available} against twist coefficient {needed}",
         available - needed,
         False,
+        text=f"Seshadri lower bound min(a,b) = {available} against twist "
+        f"coefficient {needed}",
     )
     lsq = intersect(base, base)
     big = CheckRecord(
         "bigness",
-        f"L^2 - (k+2)^2 = {lsq} - {needed * needed}",
         lsq - needed * needed,
         True,
+        text=f"L^2 - (k+2)^2 = {lsq} - {needed * needed}",
     )
     return Certificate(
         surface_type=s.type_id,
@@ -255,26 +272,28 @@ def externally_certified_k1(s: SurfaceType) -> dict:
     }
 
 
+def twisted_classes(
+    cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
+) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None]:
+    """M, and F and N = M - F for the Norimatsu labels (None otherwise)."""
+    m_class = build_twist(cfg.k, cfg.weights, base)
+    if cls.label not in NORIMATSU_LABELS:
+        return m_class, None, None
+    return (m_class, *build_correction(cfg, cls, s, base))
+
+
 def verify(
     cfg: JetConfiguration, s: SurfaceType, base: DivisorClass | None = None
 ) -> Certificate:
     """Full certificate for one configuration."""
-    cls = classify(cfg, s)
-    label = cls.label
-    if label == R1:
-        return replace(certify_r1(cfg.k, s, base), config=cfg)
     if base is None:
         base = default_base(cfg.k)
-    m_class = build_twist(cfg.k, cfg.weights, base)
-    strict = label in NORIMATSU_LABELS
-    if strict:
-        f_class, n_class = build_correction(cfg, cls, s, base)
-        checked, what = n_class, "N"
-        vanishing = NORIMATSU
-    else:
-        f_class, n_class = None, None
-        checked, what = m_class, "M"
-        vanishing = KAWAMATA_VIEHWEG
+    cls = classify(cfg, s)
+    if cls.label == R1:
+        return replace(certify_r1(cfg.k, s, base), config=cfg)
+    m_class, f_class, n_class = twisted_classes(cfg, cls, s, base)
+    strict = n_class is not None
+    checked, what = (n_class, "N") if strict else (m_class, "M")
 
     checks = [certify_square(checked, True, what)]
     checks.extend(certify_fibres(checked, cfg, s, strict, what))
@@ -285,8 +304,8 @@ def verify(
         k=cfg.k,
         base=base,
         config=cfg,
-        label=label,
-        vanishing_theorem=vanishing,
+        label=cls.label,
+        vanishing_theorem=NORIMATSU if strict else KAWAMATA_VIEHWEG,
         m_class=m_class,
         f_class=f_class,
         n_class=n_class,
@@ -332,3 +351,23 @@ def iter_certificates(
     """Certificates for every enumerated configuration of one (type, k)."""
     for cfg in enumerate_configurations(k, s, r_max):
         yield verify(cfg, s, base)
+
+
+def iter_reports(
+    s: SurfaceType,
+    k: int,
+    base: DivisorClass | None = None,
+    r_max: int | None = None,
+) -> Iterator[nonfibre.NonFibreReport]:
+    """The non-fibre report of every enumerated configuration but the single point.
+
+    The same classes `verify` checks, without the fibre checks or the
+    certificate around them.
+    """
+    if base is None:
+        base = default_base(k)
+    for cfg in enumerate_configurations(k, s, r_max):
+        cls = classify(cfg, s)
+        if cls.label != R1:
+            m_class, _, n_class = twisted_classes(cfg, cls, s, base)
+            yield nonfibre.analyse(cls, m_class if n_class is None else n_class, base, k)

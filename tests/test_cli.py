@@ -1,6 +1,7 @@
+import hashlib
 import json
 
-from hyperjet import cli
+from hyperjet import cli, engine
 from hyperjet.cli import main
 
 
@@ -59,6 +60,38 @@ def test_verify_bundles_are_byte_identical(capsys, tmp_path):
     run_cli(capsys, "verify", "--types", "3", "--k", "2..3", "--out", str(b1))
     run_cli(capsys, "verify", "--types", "3", "--k", "2..3", "--out", str(b2))
     assert b1.read_bytes() == b2.read_bytes()
+
+
+def test_bundle_bytes_are_pinned(capsys, tmp_path):
+    # sha256 of these bundles as made by encoding each `Certificate.to_json`
+    # dict whole; they do not depend on PYTHONHASHSEED
+    pinned = {
+        ("verify", "--types", "all", "--k", "2..4"):
+            "fad663a259d5ebd9bd37aff1ef8a9902d0d218d7c293e3c224231ee9932f0d27",
+        ("negative-control", "--types", "all", "--k", "2..4", "--class", "3,4"):
+            "925fc3b2c5a8f2491e526c6dc50f3113a8d80011593c07e46ecc312746085beb",
+    }
+    bundle = tmp_path / "bundle.jsonl"
+    for argv, digest in pinned.items():
+        run_cli(capsys, *argv, "--out", str(bundle))
+        assert hashlib.sha256(bundle.read_bytes()).hexdigest() == digest, argv
+
+
+def test_certificate_lines_match_the_reference_encoding():
+    scopes = [
+        cli.RunConfig("verify", k_max=4),
+        cli.RunConfig("verify", k_max=4, base_class=(3, 4)),
+        cli.RunConfig("verify", k_max=4, r_max=2),
+    ]
+    count = 0
+    for cfg in scopes:
+        for task in cli._tasks(cfg, True):
+            rows = cli._task(task)
+            certs = engine.iter_certificates(*cli._scope(task))
+            for (*_, line), cert in zip(rows, certs, strict=True):
+                assert line == cli._dump({"kind": "certificate", **cert.to_json()})
+                count += 1
+    assert count > 3000  # 1,808 certificates in each of the first two scopes
 
 
 def test_verify_json_summary(capsys):
@@ -181,6 +214,27 @@ def test_table_matrix_dump(capsys):
     assert payload["matrices"] and all(
         len(m["cells"]) == 16 for m in payload["matrices"]
     )
+
+
+def test_table_matrix_builds_no_certificates(capsys, monkeypatch):
+    calls = []
+    certify_fibres = engine.certify_fibres
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return certify_fibres(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "certify_fibres", counted)
+    code, out, _ = run_cli(
+        capsys, "table", "--matrix", "--types", "all", "--k", "2..4", "--format", "json"
+    )
+    assert code == 0 and calls == []
+    # the output as written when the matrices were read off whole certificates
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d58d5c02ebba8cfb42f5f94ecc59b00854663d5cee43110c343741c09f00e688"
+    )
+    run_cli(capsys, "verify", "--types", "1", "--k", "2")
+    assert calls  # the counter sees the certificate path
 
 
 def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):

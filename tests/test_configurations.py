@@ -222,6 +222,11 @@ def test_validation_errors():
                singletons(2)).validate()
     with pytest.raises(ValueError, match="share at most one"):
         cfg_of(2, (2, 1), [((0, 1), SINGULAR_A, 1)], [(0, 1)]).validate()
+    with pytest.raises(ValueError, match="share at most one"):
+        # the doubly shared pair is A-block 1 with B-block 2
+        cfg_of(3, (1, 1, 1, 1),
+               [((0,), SINGULAR_A, 1), ((1, 2), SINGULAR_A, 1), ((3,), SINGULAR_A, 1)],
+               [(0,), (3,), (1, 2)]).validate()
     with pytest.raises(ValueError, match="non-increasing"):
         cfg_of(2, (1, 2), [(p, SINGULAR_A, 1) for p in singletons(2)],
                singletons(2)).validate()
