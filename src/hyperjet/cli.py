@@ -20,7 +20,6 @@ import contextlib
 import dataclasses
 import json
 import sys
-from multiprocessing import Pool
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -203,14 +202,18 @@ def _certificate_line(cert: engine.Certificate, checks: str) -> str:
     return f'{{"base":[{a},{b}],"checks":[{checks}],{rest[1:]}'
 
 
-def _task(task: Task) -> Iterator[tuple[str, bool, str | None, str | None, str | None]]:
+def _task(
+    task: Task, seen: set[str] | None = None
+) -> Iterator[tuple[str, bool, str | None, str | None, str | None]]:
     """(label, pass, report key, report line, certificate line) per certificate.
 
-    Lines are built only for a bundle; a report's line comes with its first
-    use in the task, and each distinct check record is encoded once per task.
+    Lines are built only for a bundle.  A report's line comes with its first
+    use in the task, or in the tasks sharing `seen`, the keys of the reports
+    already encoded; each distinct check record is encoded once per task.
     """
     lines = task[-1]
-    seen: set[str] = set()
+    if seen is None:
+        seen = set()
     encoded: dict[engine.CheckRecord, str] = {}
     for cert in engine.iter_certificates(*_scope(task)):
         report = cert.nonfibre_report
@@ -234,11 +237,22 @@ def _task_certs(task: Task) -> list:
     return list(_task(task))
 
 
+def Pool(processes: int):
+    """`multiprocessing.Pool`, with the module imported only when a pool starts."""
+    import multiprocessing
+
+    return multiprocessing.Pool(processes)
+
+
 def _iter_sweep(cfg: RunConfig, lines: bool) -> Iterator[Iterable[tuple]]:
     tasks = _tasks(cfg, lines)
     jobs = min(cfg.jobs, len(tasks))
     if jobs == 1:
-        yield from map(_task, tasks)
+        # one set of encoded report keys for the whole run: each report is
+        # encoded once, not once per task
+        seen: set[str] = set()
+        for task in tasks:
+            yield _task(task, seen)
     else:
         with Pool(jobs) as pool:
             yield from pool.imap(_task_certs, tasks)
@@ -270,6 +284,7 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None) -> engine.SweepSummary:
                 stream.write(cert_line + "\n")
         if stream:
             stream.flush()
+        del rows  # a pool task's whole result: free it before waiting for the next
     if stream:
         closing = {"kind": "summary", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**closing, **summary.to_json()}) + "\n")

@@ -52,7 +52,7 @@ KAWAMATA_VIEHWEG_LABELS = frozenset({R1, CASE_I, CASE_IIIA, SING_M_A})
 NORIMATSU_LABELS = frozenset({CASE_IIA, CASE_IIB, CASE_IIIB, CASE_IV, SING_M_B})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ABlock:
     """Points sharing one fibre of the first fibration, with the fibre's kind."""
 
@@ -68,7 +68,7 @@ class ABlock:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JetConfiguration:
     k: int
     weights: tuple[int, ...]
@@ -92,30 +92,9 @@ class JetConfiguration:
             raise ValueError(
                 f"weights must sum to k+1={self.k + 1}, got {sum(self.weights)}"
             )
-        pts = set(range(self.r))
-        for blocks in (tuple(b.points for b in self.a_blocks), self.b_blocks):
-            seen: set[int] = set()
-            for blk in blocks:
-                if not blk:
-                    raise ValueError("empty incidence block")
-                if len(set(blk)) != len(blk):
-                    raise ValueError("an incidence block lists a point twice")
-                if set(blk) & seen:
-                    raise ValueError("incidence blocks must be disjoint")
-                seen.update(blk)
-            if seen != pts:
-                raise ValueError("incidence blocks must cover all points")
-        # The blocks partition the points, so an A-block and a B-block share
-        # at most one point exactly when no cell (A-block, B-block) holds two.
-        row = {p: i for i, ab in enumerate(self.a_blocks) for p in ab.points}
-        cells: set[tuple[int, int]] = set()
-        shared = len(self.a_blocks)  # first A-block with a doubly held cell
-        for j, bb in enumerate(self.b_blocks):
-            for p in bb:
-                cell = (row[p], j)
-                if cell in cells:
-                    shared = min(shared, row[p])
-                cells.add(cell)
+        shared = _block_structure(
+            self.r, tuple(ab.points for ab in self.a_blocks), self.b_blocks
+        )
         for i, ab in enumerate(self.a_blocks):
             if ab.kind not in (SINGULAR_A, INTERMEDIATE_A, FULL_A):
                 raise ValueError(f"unknown A-block kind {ab.kind!r}")
@@ -138,12 +117,51 @@ class JetConfiguration:
         }
 
 
+@lru_cache(maxsize=None)
+def _block_structure(
+    r: int,
+    a_points: tuple[tuple[int, ...], ...],
+    b_blocks: tuple[tuple[int, ...], ...],
+) -> int:
+    """Check that both block lists partition range(r); memoized per structure.
+
+    Returns the first A-block with a B-block sharing two points with it, or
+    len(a_points) if there is none; `validate` raises for that block only
+    after the kind checks of the blocks before it, and of itself, pass.
+    """
+    pts = set(range(r))
+    for blocks in (a_points, b_blocks):
+        seen: set[int] = set()
+        for blk in blocks:
+            if not blk:
+                raise ValueError("empty incidence block")
+            if len(set(blk)) != len(blk):
+                raise ValueError("an incidence block lists a point twice")
+            if set(blk) & seen:
+                raise ValueError("incidence blocks must be disjoint")
+            seen.update(blk)
+        if seen != pts:
+            raise ValueError("incidence blocks must cover all points")
+    # The blocks partition the points, so an A-block and a B-block share
+    # at most one point exactly when no cell (A-block, B-block) holds two.
+    row = {p: i for i, blk in enumerate(a_points) for p in blk}
+    cells: set[tuple[int, int]] = set()
+    shared = len(a_points)
+    for j, bb in enumerate(b_blocks):
+        for p in bb:
+            cell = (row[p], j)
+            if cell in cells:
+                shared = min(shared, row[p])
+            cells.add(cell)
+    return shared
+
+
 def is_heavy(weight: int, k: int) -> bool:
     """A block of this weight sum strictly exceeds the threshold (k+1)/2."""
     return 2 * weight > k + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     label: str
     heavy_a: int | None = None  # index into cfg.a_blocks
@@ -298,7 +316,6 @@ def _normal_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ..
     return tuple(tuple(r) for r in m)
 
 
-@lru_cache(maxsize=None)
 def incidence_structures(weights: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Deduplicated incidence matrices for a non-increasing weight vector.
 
@@ -375,6 +392,47 @@ def _structure_to_blocks(
     return weights, a_blocks, b_blocks
 
 
+@lru_cache(maxsize=None)
+def _skeletons(k: int) -> tuple[tuple[JetConfiguration, int | None], ...]:
+    """Every labeled matrix of k with its heavy A-row, shared by all seven types.
+
+    One entry per matrix: the configuration with every A-block singular and
+    the index of its heavy A-block (None if no A-block is heavy).  The single
+    point comes first, then the matrices by point count, weight vector and
+    matrix, so a cap on the point count is a prefix.  Weight tuples, blocks
+    and singular A-blocks are interned: equal ones are one object.
+    """
+    pool: dict = {}
+
+    def intern(x):
+        return pool.setdefault(x, x)
+
+    def singular(pts: tuple[int, ...]) -> ABlock:
+        return intern(ABlock(intern(pts), SINGULAR_A, 1))
+
+    single = JetConfiguration(k, intern((k + 1,)), (singular((0,)),), (intern((0,)),))
+    table: list[tuple[JetConfiguration, int | None]] = [(single, None)]
+    for r in range(2, k + 2):
+        for weights in weight_partitions(k + 1):
+            if len(weights) != r:
+                continue
+            for matrix in incidence_structures(weights):
+                w, a_pts, b_pts = _structure_to_blocks(matrix)
+                heavy = next(
+                    (i for i, pts in enumerate(a_pts)
+                     if is_heavy(sum(w[p] for p in pts), k)),
+                    None,
+                )
+                cfg = JetConfiguration(
+                    k,
+                    intern(w),
+                    intern(tuple(singular(pts) for pts in a_pts)),
+                    intern(tuple(intern(pts) for pts in b_pts)),
+                )
+                table.append((cfg, heavy))
+    return tuple(table)
+
+
 def enumerate_configurations(
     k: int, s: SurfaceType, r_max: int | None = None
 ) -> Iterator[JetConfiguration]:
@@ -385,7 +443,8 @@ def enumerate_configurations(
     minimal singular fibre class except a heavy A-side block, which ranges
     over the type's possible fibre kinds: the checks of a block against a
     larger fibre class are implied by the checks against (1,0), so only the
-    heavy block's kind can change the outcome.
+    heavy block's kind can change the outcome.  The all-singular
+    configurations are built once per k and shared by every type.
     """
     if k < 2:
         raise ValueError(
@@ -396,33 +455,17 @@ def enumerate_configurations(
     if not 1 <= r_max <= k + 1:
         raise ValueError(f"r_max must be in 1..{k + 1}")
 
-    yield JetConfiguration(
-        k, (k + 1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),)
-    )
-    for r in range(2, r_max + 1):
-        for weights in weight_partitions(k + 1):
-            if len(weights) != r:
-                continue
-            for matrix in incidence_structures(weights):
-                w, a_pts, b_blocks = _structure_to_blocks(matrix)
-                heavy = [
-                    i for i, pts in enumerate(a_pts)
-                    if is_heavy(sum(w[p] for p in pts), k)
-                ]
-                options: list[tuple[int, str, int]]
-                if not heavy:
-                    options = [(-1, SINGULAR_A, 1)]
-                else:
-                    hi = heavy[0]
-                    options = [(hi, SINGULAR_A, 1)]
-                    options += [
-                        (hi, INTERMEDIATE_A, m) for m in s.intermediate_fibre_coeffs
-                    ]
-                    options.append((hi, FULL_A, s.mu))
-                for hidx, kind, coeff in options:
-                    a_blocks = tuple(
-                        ABlock(pts, kind if i == hidx else SINGULAR_A,
-                               coeff if i == hidx else 1)
-                        for i, pts in enumerate(a_pts)
-                    )
-                    yield JetConfiguration(k, w, a_blocks, b_blocks)
+    variants = [(INTERMEDIATE_A, m) for m in s.intermediate_fibre_coeffs]
+    variants.append((FULL_A, s.mu))
+    for cfg, heavy in _skeletons(k):
+        if cfg.r > r_max:
+            return
+        yield cfg
+        if heavy is not None:
+            blocks = cfg.a_blocks
+            points = blocks[heavy].points
+            for kind, coeff in variants:
+                a_blocks = (
+                    blocks[:heavy] + (ABlock(points, kind, coeff),) + blocks[heavy + 1:]
+                )
+                yield JetConfiguration(k, cfg.weights, a_blocks, cfg.b_blocks)

@@ -21,6 +21,7 @@ from L^2 - (k+2)^2 > 0.  All arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterator
 
 from . import nonfibre
@@ -50,7 +51,7 @@ def default_base(k: int) -> DivisorClass:
     return DivisorClass(k + 2, k + 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
     """One inequality of a certificate: value > 0 (strict) or value >= 0.
 
@@ -150,11 +151,17 @@ def build_correction(
     cls: Classification,
     s: SurfaceType,
     base: DivisorClass | None = None,
+    m_class: BlowupClass | None = None,
 ) -> tuple[BlowupClass, BlowupClass]:
-    """The SNC correction F (strict transforms of the heavy fibres) and N = M - F."""
+    """The SNC correction F (strict transforms of the heavy fibres) and N = M - F.
+
+    `m_class` is M when the caller has built it already; otherwise M is built
+    from `base`.
+    """
     if cls.label not in NORIMATSU_LABELS:
         raise ValueError(f"case {cls.label} uses no correction divisor")
-    m_class = build_twist(cfg.k, cfg.weights, base)
+    if m_class is None:
+        m_class = build_twist(cfg.k, cfg.weights, base)
     fa, fb = DivisorClass(0, 0), DivisorClass(0, 0)
     exc = [0] * cfg.r
     if cls.label in (CASE_IIA, CASE_IIB):
@@ -199,12 +206,25 @@ def certify_fibres(
     fibres += [(curve.to_pair(), (), kind) for curve, kind in fibre_classes(s)]
     base, exc = divisor.base, divisor.exc
     return [
-        CheckRecord(
-            "fibre", base.a * b + a * base.b - sum(exc[i] for i in block), strict,
-            what, (a, b), block, kind,
+        _fibre_record(
+            base.a * b + a * base.b - sum(exc[i] for i in block), strict, what,
+            (a, b), block, kind,
         )
         for (a, b), block, kind in fibres
     ]
+
+
+@lru_cache(maxsize=None)
+def _fibre_record(
+    value: int,
+    strict: bool,
+    divisor: str,
+    curve: tuple[int, int],
+    block: tuple[int, ...],
+    fibre: str,
+) -> CheckRecord:
+    """One record per distinct fibre check: equal checks are one object."""
+    return CheckRecord("fibre", value, strict, divisor, curve, block, fibre)
 
 
 def certify_r1(
@@ -279,7 +299,7 @@ def twisted_classes(
     m_class = build_twist(cfg.k, cfg.weights, base)
     if cls.label not in NORIMATSU_LABELS:
         return m_class, None, None
-    return (m_class, *build_correction(cfg, cls, s, base))
+    return (m_class, *build_correction(cfg, cls, s, base, m_class))
 
 
 def verify(

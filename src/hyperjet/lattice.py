@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DivisorClass:
     """Integer pair (a, b): coefficients of A/mu and (mu/gamma)B."""
 
@@ -60,7 +60,7 @@ def h0_ample(d: DivisorClass) -> int:
     return chi(d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlowupClass:
     """Pullback minus exceptional multiples: pi*(base) - sum(exc[i] * E_i)."""
 

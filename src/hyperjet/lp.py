@@ -43,7 +43,7 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """coeffs . x  REL  bound"""
 
@@ -84,7 +84,7 @@ def make_constraint(
     return Constraint(coeffs, rel, _frac(bound))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearSystem:
     variables: tuple[str, ...]
     constraints: tuple[Constraint, ...]
@@ -326,7 +326,7 @@ VACUOUSLY_VALID = "vacuously_valid"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntailmentResult:
     status: str
     witness: tuple[tuple[object, Fraction], ...] | None = None

@@ -98,7 +98,7 @@ def _assignment_maxima(coefs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[t
     return tuple(best[n]), tuple(witnesses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundedCellCheck:
     """Exact minimum of the target over one class (alpha, beta)."""
 
@@ -148,7 +148,7 @@ def bounded_cells(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImplicationCheck:
     name: str
     description: str
@@ -368,7 +368,7 @@ _BRANCHES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnboundedReport:
     facts: tuple[ImplicationCheck, ...]
     premises: tuple[ImplicationCheck, ...]
@@ -446,7 +446,7 @@ def check_unbounded(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonFibreReport:
     key: str
     label: str

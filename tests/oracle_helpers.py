@@ -14,6 +14,7 @@ from itertools import product
 from typing import Iterator
 
 from hyperjet.configurations import (
+    ABlock,
     CASE_I,
     CASE_IIA,
     CASE_IIB,
@@ -25,6 +26,10 @@ from hyperjet.configurations import (
     SING_M_B,
     Classification,
     JetConfiguration,
+    _structure_to_blocks,
+    incidence_structures,
+    is_heavy,
+    weight_partitions,
 )
 from hyperjet.genus import (
     CurveCandidate,
@@ -34,7 +39,7 @@ from hyperjet.genus import (
 )
 from hyperjet.lattice import BlowupClass, DivisorClass, blowup_intersect, intersect
 from hyperjet.nonfibre import BOUNDED_MAX
-from hyperjet.surfaces import SurfaceType
+from hyperjet.surfaces import FULL_A, INTERMEDIATE_A, SINGULAR_A, SurfaceType
 
 
 def set_partitions(n):
@@ -108,6 +113,46 @@ def labeled_structures_canonicalized(weights):
     for a_part, b_part in labeled_incidence_pairs(len(weights)):
         out.add(exact_canonical(pair_to_matrix(weights, a_part, b_part)))
     return out
+
+
+def per_type_configurations(
+    k: int, s: SurfaceType, r_max: int | None = None
+) -> Iterator[JetConfiguration]:
+    """The enumeration as a loop per type: label every matrix for this type.
+
+    The reference for the package's enumeration, which labels each matrix
+    once per k for all types; both must yield equal configurations in the
+    same order.
+    """
+    if r_max is None:
+        r_max = k + 1
+    yield JetConfiguration(k, (k + 1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),))
+    for r in range(2, r_max + 1):
+        for weights in weight_partitions(k + 1):
+            if len(weights) != r:
+                continue
+            for matrix in incidence_structures(weights):
+                w, a_pts, b_blocks = _structure_to_blocks(matrix)
+                heavy = [
+                    i for i, pts in enumerate(a_pts)
+                    if is_heavy(sum(w[p] for p in pts), k)
+                ]
+                if not heavy:
+                    options = [(-1, SINGULAR_A, 1)]
+                else:
+                    hi = heavy[0]
+                    options = [(hi, SINGULAR_A, 1)]
+                    options += [
+                        (hi, INTERMEDIATE_A, m) for m in s.intermediate_fibre_coeffs
+                    ]
+                    options.append((hi, FULL_A, s.mu))
+                for hidx, kind, coeff in options:
+                    a_blocks = tuple(
+                        ABlock(pts, kind if i == hidx else SINGULAR_A,
+                               coeff if i == hidx else 1)
+                        for i, pts in enumerate(a_pts)
+                    )
+                    yield JetConfiguration(k, w, a_blocks, b_blocks)
 
 
 def naive_bounded_checks(cfg: JetConfiguration, twisted: BlowupClass, strict: bool,

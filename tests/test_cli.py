@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from hyperjet import cli, engine
+from hyperjet import cli, engine, nonfibre
 from hyperjet.cli import main
 
 
@@ -260,6 +264,32 @@ def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):
         capsys, "verify", "--types", "1", "--k", "2..3", "--jobs", "8"
     )
     assert code == 0 and sizes == [2]
+
+
+def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
+    encoded = []
+    to_json = nonfibre.NonFibreReport.to_json
+
+    def counted(report):
+        encoded.append(report.key)
+        return to_json(report)
+
+    monkeypatch.setattr(nonfibre.NonFibreReport, "to_json", counted)
+    bundle = tmp_path / "certs.jsonl"
+    code, _, _ = run_cli(capsys, "verify", "--types", "1,3", "--k", "2..4",
+                         "--out", str(bundle))
+    assert code == 0
+    written = [line for line in bundle.read_text().splitlines()
+               if '"kind":"nonfibre_report"' in line]
+    assert len(encoded) == len(set(encoded)) == len(written)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    probe = "import sys, hyperjet.cli; print('multiprocessing' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_parallel_jobs_match_serial(capsys, tmp_path):

@@ -19,8 +19,8 @@ from hyperjet.configurations import (
     incidence_structures,
     weight_partitions,
 )
-from hyperjet.surfaces import FULL_A, INTERMEDIATE_A, SINGULAR_A, surface
-from oracle_helpers import labeled_structures_canonicalized
+from hyperjet.surfaces import FULL_A, INTERMEDIATE_A, SINGULAR_A, catalog, surface
+from oracle_helpers import labeled_structures_canonicalized, per_type_configurations
 
 
 def cfg_of(k, weights, a_specs, b_blocks):
@@ -69,6 +69,23 @@ def test_structures_match_independent_labeled_generator(k):
             continue
         mine = {exact_canonical(m) for m in incidence_structures(weights)}
         assert mine == labeled_structures_canonicalized(weights), weights
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_enumeration_matches_the_per_type_loop(k):
+    # the shared per-k table yields what labeling every matrix per type did
+    for s in catalog():
+        assert list(enumerate_configurations(k, s)) == list(
+            per_type_configurations(k, s)
+        ), s.type_id
+
+
+def test_point_cap_matches_the_per_type_loop():
+    for s in catalog():
+        for r_max in range(1, 6):
+            assert list(enumerate_configurations(4, s, r_max)) == list(
+                per_type_configurations(4, s, r_max)
+            ), (s.type_id, r_max)
 
 
 def test_classify_r1():
@@ -234,6 +251,20 @@ def test_validation_errors():
         cfg_of(2, (2, 1), [((0,), SINGULAR_A, 1)], singletons(2)).validate()
     with pytest.raises(ValueError, match="twice"):
         cfg_of(2, (2, 1), [((0, 0, 1), SINGULAR_A, 1)], singletons(2)).validate()
+    with pytest.raises(ValueError, match="unknown A-block kind"):
+        # A-block 0 also holds a doubly shared cell: its kind is checked first
+        cfg_of(2, (2, 1), [((0, 1), "smooth-A", 1)], [(0, 1)]).validate()
+
+
+def test_invalid_configuration_raises_on_every_validation():
+    # the block checks are memoized per structure; their rejections are not
+    for cfg, message in (
+        (cfg_of(2, (2, 1), [((0, 1), SINGULAR_A, 1)], [(0, 1)]), "share at most one"),
+        (cfg_of(2, (2, 1), [((0,), SINGULAR_A, 1)], singletons(2)), "cover"),
+    ):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                cfg.validate()
 
 
 def test_heavy_kind_options_per_type():

@@ -85,6 +85,18 @@ def test_build_correction_case_iib_shared_point_gains_one():
     assert n.exc[out.shared_point] == cfg.weights[out.shared_point] - 1
 
 
+def test_build_correction_subtracts_from_the_given_twist():
+    cfg = cfg_of(
+        3, (2, 1, 1), [((0, 1), SINGULAR_A, 1), ((2,), SINGULAR_A, 1)],
+        [(0,), (1, 2)],
+    )
+    out = classify(cfg, surface(1))
+    m = build_twist(3, cfg.weights, DivisorClass(7, 6))
+    f, n = build_correction(cfg, out, surface(1), m_class=m)
+    assert f + n == m
+    assert (f, n) == build_correction(cfg, out, surface(1), DivisorClass(7, 6))
+
+
 def test_build_correction_rejects_uncorrected_cases():
     cfg = cfg_of(2, (1, 1, 1), [(p, SINGULAR_A, 1) for p in singletons(3)],
                  singletons(3))
@@ -266,6 +278,25 @@ def test_fibre_closed_form_matches_blowup_pairing():
                     indicator = tuple(int(i in check.block) for i in range(r))
                     transform = BlowupClass(DivisorClass(*check.curve), indicator)
                     assert check.value == blowup_intersect(divisor, transform)
+
+
+def test_equal_fibre_checks_are_one_record():
+    # the first three blocks, (0, 1), (2,) and (3,), are the same in both
+    singular = [((0, 1), SINGULAR_A, 1), ((2,), SINGULAR_A, 1), ((3,), SINGULAR_A, 1)]
+    a = cfg_of(3, (1, 1, 1, 1), singular, singletons(4))
+    b = cfg_of(3, (1, 1, 1, 1), singular, [(0, 2), (1,), (3,)])
+    m = build_twist(3, a.weights)
+    first = certify_fibres(m, a, surface(1), strict=False, what="M")
+    again = certify_fibres(m, b, surface(1), strict=False, what="M")
+    for x, y in zip(first[:3], again[:3]):
+        assert x == y and x is y
+    # records that differ only in strictness or in the checked divisor do not
+    strict = certify_fibres(m, a, surface(1), strict=True, what="M")
+    named = certify_fibres(m, a, surface(1), strict=False, what="N")
+    for x, y, z in zip(first, strict, named):
+        assert x.value == y.value == z.value
+        assert x != y and x is not y and y.strict
+        assert x != z and x is not z and z.divisor == "N"
 
 
 def test_verify_pipeline_type1_k2_all_pass():
