@@ -21,9 +21,9 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
-from . import engine, lp, tables
+from . import configurations, engine, lp, tables
 from .lattice import DivisorClass
 from .surfaces import SurfaceType, surface
 
@@ -159,22 +159,49 @@ def _dump(obj: dict) -> str:
     return _ENCODER.encode(obj)
 
 
-Task = tuple[int, int, tuple[int, int] | None, int, bool]
+# skeleton-table entries per pool task: a worker sends, and the parent holds,
+# a bounded slice of a (type, k) at a time
+SHARD_SKELETONS = 128
+
+
+class Task(NamedTuple):
+    """One (type, k) in scope; for a pool, a slice of k's skeleton table."""
+
+    type_id: int
+    k: int
+    base: tuple[int, int] | None
+    r_max: int
+    lines: bool
+    part: slice | None = None
 
 
 def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
     """One (type, k) task per pair in scope; the point cap is clamped per k."""
     return [
-        (t, k, cfg.base_class, min(cfg.r_max or k + 1, k + 1), lines)
+        Task(t, k, cfg.base_class, min(cfg.r_max or k + 1, k + 1), lines)
         for t in cfg.surface_types
         for k in range(cfg.k_min, cfg.k_max + 1)
     ]
 
 
-def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, int]:
-    """(surface, k, base, r_max) of a task, as the engine's iterators take them."""
-    type_id, k, base_pair, r_max, _ = task
-    return surface(type_id), k, DivisorClass(*base_pair) if base_pair else None, r_max
+def _shards(cfg: RunConfig, lines: bool) -> list[Task]:
+    """The tasks cut into consecutive slices of at most SHARD_SKELETONS entries.
+
+    Each k's skeleton table is built here, so workers forked afterwards
+    inherit it instead of building it again.
+    """
+    return [
+        task._replace(part=slice(start, min(start + SHARD_SKELETONS, count)))
+        for task in _tasks(cfg, lines)
+        for count in [configurations.skeleton_count(task.k, task.r_max)]
+        for start in range(0, count, SHARD_SKELETONS)
+    ]
+
+
+def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, int, slice | None]:
+    """(surface, k, base, r_max, part) of a task, as the engine's iterators take them."""
+    base = DivisorClass(*task.base) if task.base else None
+    return surface(task.type_id), task.k, base, task.r_max, task.part
 
 
 def _certificate_line(cert: engine.Certificate, checks: str) -> str:
@@ -202,39 +229,98 @@ def _certificate_line(cert: engine.Certificate, checks: str) -> str:
     return f'{{"base":[{a},{b}],"checks":[{checks}],{rest[1:]}'
 
 
+class _Encoder:
+    """What one process has encoded in a run.
+
+    `sent` holds the keys of the reports whose lines it has made; `checks`
+    maps each check record it has encoded, by identity, to the record and
+    its text (holding the record keeps its id from being reused).
+    """
+
+    __slots__ = ("sent", "checks")
+
+    def __init__(self) -> None:
+        self.sent: set[str] = set()
+        self.checks: dict[int, tuple[engine.CheckRecord, str]] = {}
+
+
+# the encoder of this process for the current run, replaced at the start of
+# every run: before a pool forks, so every worker starts with nothing sent
+_worker = _Encoder()
+
+
 def _task(
-    task: Task, seen: set[str] | None = None
+    task: Task, encoder: _Encoder | None = None
 ) -> Iterator[tuple[str, bool, str | None, str | None, str | None]]:
     """(label, pass, report key, report line, certificate line) per certificate.
 
     Lines are built only for a bundle.  A report's line comes with its first
-    use in the task, or in the tasks sharing `seen`, the keys of the reports
-    already encoded; each distinct check record is encoded once per task.
+    use among the tasks that share `encoder`, which also encodes each
+    distinct check record once.
     """
-    lines = task[-1]
-    if seen is None:
-        seen = set()
-    encoded: dict[engine.CheckRecord, str] = {}
+    if encoder is None:
+        encoder = _Encoder()
+    sent, encoded = encoder.sent, encoder.checks
     for cert in engine.iter_certificates(*_scope(task)):
         report = cert.nonfibre_report
         key = report.key if report else None
         report_line = cert_line = None
-        if lines:
-            if report and key not in seen:
-                seen.add(key)
+        if task.lines:
+            if report and key not in sent:
+                sent.add(key)
                 report_line = _dump({"kind": "nonfibre_report", **report.to_json()})
             checks = []
             for check in cert.checks:
-                text = encoded.get(check)
-                if text is None:
-                    text = encoded[check] = _dump(check.to_json())
-                checks.append(text)
+                entry = encoded.get(id(check))
+                if entry is None:
+                    entry = encoded[id(check)] = (check, _dump(check.to_json()))
+                checks.append(entry[1])
             cert_line = _certificate_line(cert, ",".join(checks))
         yield cert.label, cert.passed, key, report_line, cert_line
 
 
-def _task_certs(task: Task) -> list:
-    return list(_task(task))
+Part = str | tuple[str, str]
+
+
+def _bundle_parts(rows: Iterable[tuple], tally: dict[str, list[int]]) -> Iterator[Part]:
+    """Count each row into `tally`, a [count, failed] per label, and yield its text.
+
+    A report comes as (key, line), before the certificate line that first
+    uses it; every line ends in a newline.
+    """
+    for label, passed, key, report_line, cert_line in rows:
+        counts = tally.get(label)
+        if counts is None:
+            counts = tally[label] = [0, 0]
+        counts[0] += 1
+        counts[1] += not passed
+        if report_line:
+            yield key, report_line + "\n"
+        if cert_line:
+            yield cert_line + "\n"
+
+
+def _task_certs(task: Task) -> tuple[dict[str, list[int]], list[Part]]:
+    """A pool task's result: its tally and its bundle text, runs of lines joined.
+
+    The worker's encoder spans the run: the pool hands tasks out in order,
+    so the parent writes this worker's earlier tasks first, and the first
+    task to use a report always carries its line.
+    """
+    tally: dict[str, list[int]] = {}
+    parts: list[Part] = []
+    run: list[str] = []
+    for part in _bundle_parts(_task(task, _worker), tally):
+        if isinstance(part, str):
+            run.append(part)
+        else:
+            if run:
+                parts.append("".join(run))
+                run = []
+            parts.append(part)
+    if run:
+        parts.append("".join(run))
+    return tally, parts
 
 
 def Pool(processes: int):
@@ -244,18 +330,27 @@ def Pool(processes: int):
     return multiprocessing.Pool(processes)
 
 
-def _iter_sweep(cfg: RunConfig, lines: bool) -> Iterator[Iterable[tuple]]:
-    tasks = _tasks(cfg, lines)
-    jobs = min(cfg.jobs, len(tasks))
-    if jobs == 1:
-        # one set of encoded report keys for the whole run: each report is
-        # encoded once, not once per task
-        seen: set[str] = set()
-        for task in tasks:
-            yield _task(task, seen)
+def _iter_sweep(
+    cfg: RunConfig, lines: bool
+) -> Iterator[tuple[dict[str, list[int]], Iterable[Part]]]:
+    """(tally, bundle text) per task, in order.
+
+    Serially each (type, k) task streams its lines as they are made, and its
+    tally is complete once they are drawn.  With `--jobs`, workers return
+    the shards of `_shards` whole.
+    """
+    global _worker
+    _worker = _Encoder()
+    shards = _shards(cfg, lines) if cfg.jobs > 1 else []
+    jobs = min(cfg.jobs, len(shards))
+    if jobs <= 1:
+        for task in _tasks(cfg, lines):
+            _worker.checks.clear()  # held per task here, so the peak is one task's
+            tally: dict[str, list[int]] = {}
+            yield tally, _bundle_parts(_task(task, _worker), tally)
     else:
         with Pool(jobs) as pool:
-            yield from pool.imap(_task_certs, tasks)
+            yield from pool.imap(_task_certs, shards)
 
 
 def _run_config_json(cfg: RunConfig) -> dict:
@@ -274,17 +369,17 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None) -> engine.SweepSummary:
     if stream:
         header = {"kind": "header", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**header, "run": _run_config_json(cfg)}) + "\n")
-    for rows in _iter_sweep(cfg, stream is not None):
-        for label, passed, key, report_line, cert_line in rows:
-            summary.add(label, passed)
-            if stream:
-                if report_line and key not in seen_reports:
-                    seen_reports.add(key)
-                    stream.write(report_line + "\n")
-                stream.write(cert_line + "\n")
+    for tally, parts in _iter_sweep(cfg, stream is not None):
+        for part in parts:  # none without a bundle
+            if isinstance(part, str):
+                stream.write(part)
+            elif part[0] not in seen_reports:
+                seen_reports.add(part[0])
+                stream.write(part[1])
+        summary.merge(tally)  # complete once the parts are drawn
         if stream:
             stream.flush()
-        del rows  # a pool task's whole result: free it before waiting for the next
+        del tally, parts  # a shard's whole result: free it before waiting for the next
     if stream:
         closing = {"kind": "summary", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**closing, **summary.to_json()}) + "\n")

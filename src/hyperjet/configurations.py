@@ -24,6 +24,7 @@ classify as heavy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -433,8 +434,13 @@ def _skeletons(k: int) -> tuple[tuple[JetConfiguration, int | None], ...]:
     return tuple(table)
 
 
+def skeleton_count(k: int, r_max: int) -> int:
+    """The number of entries of k's skeleton table with at most r_max points."""
+    return bisect_right(_skeletons(k), r_max, key=lambda entry: entry[0].r)
+
+
 def enumerate_configurations(
-    k: int, s: SurfaceType, r_max: int | None = None
+    k: int, s: SurfaceType, r_max: int | None = None, part: slice | None = None
 ) -> Iterator[JetConfiguration]:
     """All configurations for k on surface type s, in deterministic order.
 
@@ -445,6 +451,10 @@ def enumerate_configurations(
     larger fibre class are implied by the checks against (1,0), so only the
     heavy block's kind can change the outcome.  The all-singular
     configurations are built once per k and shared by every type.
+
+    `part`, a slice of k's skeleton table, restricts the enumeration to the
+    configurations of those entries; consecutive slices of the first
+    `skeleton_count(k, r_max)` entries enumerate the whole scope in order.
     """
     if k < 2:
         raise ValueError(
@@ -457,7 +467,8 @@ def enumerate_configurations(
 
     variants = [(INTERMEDIATE_A, m) for m in s.intermediate_fibre_coeffs]
     variants.append((FULL_A, s.mu))
-    for cfg, heavy in _skeletons(k):
+    table = _skeletons(k)
+    for cfg, heavy in table if part is None else table[part]:
         if cfg.r > r_max:
             return
         yield cfg

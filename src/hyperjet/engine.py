@@ -179,7 +179,13 @@ def build_correction(
 
 
 def certify_square(cls_: BlowupClass, strict: bool, what: str) -> CheckRecord:
-    return CheckRecord("square", cls_.square(), strict, what)
+    return _square_record(cls_.square(), strict, what)
+
+
+@lru_cache(maxsize=None)
+def _square_record(value: int, strict: bool, divisor: str) -> CheckRecord:
+    """One record per distinct square check: equal checks are one object."""
+    return CheckRecord("square", value, strict, divisor)
 
 
 def certify_fibres(
@@ -203,7 +209,7 @@ def certify_fibres(
     bq = s.b_fibre_coeff
     fibres = [((ab.fibre_coeff, 0), ab.points, ab.kind) for ab in cfg.a_blocks]
     fibres += [((0, bq), bb, B_FIBRE) for bb in cfg.b_blocks]
-    fibres += [(curve.to_pair(), (), kind) for curve, kind in fibre_classes(s)]
+    fibres += _fresh_fibres(s)
     base, exc = divisor.base, divisor.exc
     return [
         _fibre_record(
@@ -212,6 +218,12 @@ def certify_fibres(
         )
         for (a, b), block, kind in fibres
     ]
+
+
+@lru_cache(maxsize=None)
+def _fresh_fibres(s: SurfaceType) -> tuple[tuple[tuple[int, int], tuple, str], ...]:
+    """(curve, no block, kind) of each catalog fibre class of a type."""
+    return tuple((curve.to_pair(), (), kind) for curve, kind in fibre_classes(s))
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +355,12 @@ class SweepSummary:
     failed: int = 0
     label_counts: dict = field(default_factory=dict)
 
-    def add(self, label: str, passed: bool) -> None:
-        self.total += 1
-        if not passed:
-            self.failed += 1
-        self.label_counts[label] = self.label_counts.get(label, 0) + 1
+    def merge(self, tally: dict[str, list[int]]) -> None:
+        """Add a [count, failed] tally per label."""
+        for label, (count, failed) in tally.items():
+            self.total += count
+            self.failed += failed
+            self.label_counts[label] = self.label_counts.get(label, 0) + count
 
     @property
     def all_passed(self) -> bool:
@@ -367,9 +380,14 @@ def iter_certificates(
     k: int,
     base: DivisorClass | None = None,
     r_max: int | None = None,
+    part: slice | None = None,
 ) -> Iterator[Certificate]:
-    """Certificates for every enumerated configuration of one (type, k)."""
-    for cfg in enumerate_configurations(k, s, r_max):
+    """Certificates for every enumerated configuration of one (type, k).
+
+    `part` restricts them to a slice of k's skeleton table, as
+    `enumerate_configurations` takes it.
+    """
+    for cfg in enumerate_configurations(k, s, r_max, part):
         yield verify(cfg, s, base)
 
 
@@ -378,6 +396,7 @@ def iter_reports(
     k: int,
     base: DivisorClass | None = None,
     r_max: int | None = None,
+    part: slice | None = None,
 ) -> Iterator[nonfibre.NonFibreReport]:
     """The non-fibre report of every enumerated configuration but the single point.
 
@@ -386,7 +405,7 @@ def iter_reports(
     """
     if base is None:
         base = default_base(k)
-    for cfg in enumerate_configurations(k, s, r_max):
+    for cfg in enumerate_configurations(k, s, r_max, part):
         cls = classify(cfg, s)
         if cls.label != R1:
             m_class, _, n_class = twisted_classes(cfg, cls, s, base)

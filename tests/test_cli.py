@@ -7,12 +7,42 @@ from pathlib import Path
 
 from hyperjet import cli, engine, nonfibre
 from hyperjet.cli import main
+from hyperjet.configurations import enumerate_configurations, skeleton_count
+from hyperjet.surfaces import surface
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_reports_precede_use(lines):
+    """Every referenced non-fibre report appears exactly once, before first use."""
+    seen = set()
+    for line in lines:
+        obj = json.loads(line)
+        if obj["kind"] == "nonfibre_report":
+            assert obj["key"] not in seen
+            seen.add(obj["key"])
+        elif obj["kind"] == "certificate" and obj["nonfibre_ref"]:
+            assert obj["nonfibre_ref"] in seen
+
+
+class InlinePool:
+    """A stand-in for `cli.Pool` that runs the tasks in this process."""
+
+    def __init__(self, processes):
+        self.processes = processes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items):
+        return map(fn, items)
 
 
 def test_catalog_text(capsys):
@@ -48,15 +78,7 @@ def test_verify_small_run(capsys, tmp_path):
     assert summary["kind"] == "summary" and summary["pass"] is True
     cert_lines = [json.loads(l) for l in lines if json.loads(l)["kind"] == "certificate"]
     assert summary["total"] == len(cert_lines)
-    # every referenced non-fibre report appears exactly once, before first use
-    seen = set()
-    for line in lines:
-        obj = json.loads(line)
-        if obj["kind"] == "nonfibre_report":
-            assert obj["key"] not in seen
-            seen.add(obj["key"])
-        elif obj["kind"] == "certificate" and obj["nonfibre_ref"]:
-            assert obj["nonfibre_ref"] in seen
+    assert_reports_precede_use(lines)
 
 
 def test_verify_bundles_are_byte_identical(capsys, tmp_path):
@@ -244,20 +266,11 @@ def test_table_matrix_builds_no_certificates(capsys, monkeypatch):
 def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):
     sizes = []
 
-    class InlinePool:
+    class SizedPool(InlinePool):
         def __init__(self, processes):
             sizes.append(processes)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "Pool", InlinePool)
+    monkeypatch.setattr(cli, "Pool", SizedPool)
     code, _, _ = run_cli(capsys, "verify", "--types", "1", "--k", "2", "--jobs", "8")
     assert code == 0 and sizes == []  # one task: the serial path
     code, _, _ = run_cli(
@@ -275,13 +288,17 @@ def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
         return to_json(report)
 
     monkeypatch.setattr(nonfibre.NonFibreReport, "to_json", counted)
+    monkeypatch.setattr(cli, "Pool", InlinePool)
     bundle = tmp_path / "certs.jsonl"
-    code, _, _ = run_cli(capsys, "verify", "--types", "1,3", "--k", "2..4",
-                         "--out", str(bundle))
-    assert code == 0
-    written = [line for line in bundle.read_text().splitlines()
-               if '"kind":"nonfibre_report"' in line]
-    assert len(encoded) == len(set(encoded)) == len(written)
+    # serially, then through the in-process pool: its shards share one encoder
+    for jobs in ("1", "2"):
+        encoded.clear()
+        code, _, _ = run_cli(capsys, "verify", "--types", "1,3", "--k", "2..5",
+                             "--jobs", jobs, "--out", str(bundle))
+        assert code == 0
+        written = [line for line in bundle.read_text().splitlines()
+                   if '"kind":"nonfibre_report"' in line]
+        assert len(encoded) == len(set(encoded)) == len(written), jobs
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
@@ -293,11 +310,46 @@ def test_cli_import_leaves_multiprocessing_unloaded():
 
 
 def test_parallel_jobs_match_serial(capsys, tmp_path):
+    # k = 5 has 348 skeletons: each (type, 5) is three shards
+    assert skeleton_count(5, 6) > 2 * cli.SHARD_SKELETONS
     b1, b2 = tmp_path / "serial.jsonl", tmp_path / "par.jsonl"
-    run_cli(capsys, "verify", "--types", "1,2", "--k", "2..3", "--out", str(b1))
-    run_cli(capsys, "verify", "--types", "1,2", "--k", "2..3", "--jobs", "2",
-            "--out", str(b2))
-    assert b1.read_bytes() == b2.read_bytes()
+    for argv in (
+        ("verify", "--types", "1,2", "--k", "2..3"),
+        ("verify", "--types", "1,7", "--k", "2..5"),
+        ("verify", "--types", "1,7", "--k", "2..5", "--r-max", "3"),
+        ("negative-control", "--types", "1,7", "--k", "2..5", "--class", "3,4"),
+    ):
+        run_cli(capsys, *argv, "--out", str(b1))
+        run_cli(capsys, *argv, "--jobs", "2", "--out", str(b2))
+        assert b1.read_bytes() == b2.read_bytes(), argv
+
+
+def test_runs_in_one_process_start_with_fresh_encoders(capsys, tmp_path, monkeypatch):
+    # a report sent in one run must be sent again in the next, whichever path
+    argv = ("verify", "--types", "1,7", "--k", "2..5")
+    serial, inline, forked = (tmp_path / f"{n}.jsonl" for n in range(3))
+    run_cli(capsys, *argv, "--out", str(serial))
+    with monkeypatch.context() as m:
+        m.setattr(cli, "Pool", InlinePool)
+        run_cli(capsys, *argv, "--jobs", "2", "--out", str(inline))
+    run_cli(capsys, *argv, "--jobs", "2", "--out", str(forked))
+    assert serial.read_bytes() == inline.read_bytes() == forked.read_bytes()
+    assert_reports_precede_use(serial.read_text().splitlines())
+
+
+def test_shards_concatenate_to_the_whole_enumeration():
+    for type_id in (1, 7):
+        s = surface(type_id)
+        for r_max in range(1, 7):
+            cfg = cli.RunConfig("verify", surface_types=(type_id,), k_min=5, k_max=5,
+                                r_max=r_max)
+            shards = cli._shards(cfg, False)
+            sizes = [t.part.stop - t.part.start for t in shards]
+            assert all(0 < n <= cli.SHARD_SKELETONS for n in sizes), (r_max, sizes)
+            sharded = [c for t in shards
+                       for c in enumerate_configurations(5, s, r_max, t.part)]
+            assert sharded == list(enumerate_configurations(5, s, r_max)), r_max
+        assert len(shards) == 3
 
 
 def test_r_max_above_k_plus_one_is_capped_per_k(capsys, tmp_path):

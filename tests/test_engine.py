@@ -353,3 +353,18 @@ def test_certificate_json_shape():
     assert obj["vanishing_theorem"] in (KAWAMATA_VIEHWEG, NORIMATSU)
     assert isinstance(obj["checks"], list) and obj["checks"]
     assert obj["pass"] is True
+
+
+def test_equal_square_checks_are_one_record():
+    # two incidence patterns of one weight vector: the same M, so the same M^2
+    singular = [((0, 1), SINGULAR_A, 1), ((2,), SINGULAR_A, 1), ((3,), SINGULAR_A, 1)]
+    a = cfg_of(3, (1, 1, 1, 1), singular, singletons(4))
+    b = cfg_of(3, (1, 1, 1, 1), singular, [(0, 2), (1,), (3,)])
+    first, again = verify(a, surface(1)), verify(b, surface(1))
+    assert first.checks[0].kind == again.checks[0].kind == "square"
+    assert first.checks[0] is again.checks[0]
+    m = build_twist(3, a.weights)
+    assert certify_square(m, True, "M") is certify_square(build_twist(3, b.weights), True, "M")
+    # records that differ only in strictness or in the checked divisor do not
+    assert certify_square(m, False, "M") is not certify_square(m, True, "M")
+    assert certify_square(m, True, "N") is not certify_square(m, True, "M")
