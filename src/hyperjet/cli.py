@@ -159,46 +159,40 @@ def _dump(obj: dict) -> str:
     return _ENCODER.encode(obj)
 
 
-# skeleton-table entries per pool task: a worker sends, and the parent holds,
+# skeleton-table entries per task: a process holds, and a pool worker sends,
 # a bounded slice of a (type, k) at a time
 SHARD_SKELETONS = 128
 
 
 class Task(NamedTuple):
-    """One (type, k) in scope; for a pool, a slice of k's skeleton table."""
+    """A slice of k's skeleton table for one type: the unit of every sweep."""
 
     type_id: int
     k: int
     base: tuple[int, int] | None
     r_max: int
     lines: bool
-    part: slice | None = None
+    part: slice
 
 
 def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
-    """One (type, k) task per pair in scope; the point cap is clamped per k."""
-    return [
-        Task(t, k, cfg.base_class, min(cfg.r_max or k + 1, k + 1), lines)
-        for t in cfg.surface_types
-        for k in range(cfg.k_min, cfg.k_max + 1)
-    ]
+    """Each (type, k) in scope as consecutive slices of at most SHARD_SKELETONS entries.
 
-
-def _shards(cfg: RunConfig, lines: bool) -> list[Task]:
-    """The tasks cut into consecutive slices of at most SHARD_SKELETONS entries.
-
-    Each k's skeleton table is built here, so workers forked afterwards
-    inherit it instead of building it again.
+    The point cap is clamped per k.  Each k's skeleton table is built here,
+    so pool workers forked afterwards inherit it instead of building it again.
     """
     return [
-        task._replace(part=slice(start, min(start + SHARD_SKELETONS, count)))
-        for task in _tasks(cfg, lines)
-        for count in [configurations.skeleton_count(task.k, task.r_max)]
+        Task(t, k, cfg.base_class, r_max, lines,
+             slice(start, min(start + SHARD_SKELETONS, count)))
+        for t in cfg.surface_types
+        for k in range(cfg.k_min, cfg.k_max + 1)
+        for r_max in [min(cfg.r_max or k + 1, k + 1)]
+        for count in [configurations.skeleton_count(k, r_max)]
         for start in range(0, count, SHARD_SKELETONS)
     ]
 
 
-def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, int, slice | None]:
+def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, int, slice]:
     """(surface, k, base, r_max, part) of a task, as the engine's iterators take them."""
     base = DivisorClass(*task.base) if task.base else None
     return surface(task.type_id), task.k, base, task.r_max, task.part
@@ -229,98 +223,54 @@ def _certificate_line(cert: engine.Certificate, checks: str) -> str:
     return f'{{"base":[{a},{b}],"checks":[{checks}],{rest[1:]}'
 
 
-class _Encoder:
-    """What one process has encoded in a run.
-
-    `sent` holds the keys of the reports whose lines it has made; `checks`
-    maps each check record it has encoded, by identity, to the record and
-    its text (holding the record keeps its id from being reused).
-    """
-
-    __slots__ = ("sent", "checks")
-
-    def __init__(self) -> None:
-        self.sent: set[str] = set()
-        self.checks: dict[int, tuple[engine.CheckRecord, str]] = {}
-
-
-# the encoder of this process for the current run, replaced at the start of
-# every run: before a pool forks, so every worker starts with nothing sent
-_worker = _Encoder()
-
-
-def _task(
-    task: Task, encoder: _Encoder | None = None
-) -> Iterator[tuple[str, bool, str | None, str | None, str | None]]:
-    """(label, pass, report key, report line, certificate line) per certificate.
-
-    Lines are built only for a bundle.  A report's line comes with its first
-    use among the tasks that share `encoder`, which also encodes each
-    distinct check record once.
-    """
-    if encoder is None:
-        encoder = _Encoder()
-    sent, encoded = encoder.sent, encoder.checks
-    for cert in engine.iter_certificates(*_scope(task)):
-        report = cert.nonfibre_report
-        key = report.key if report else None
-        report_line = cert_line = None
-        if task.lines:
-            if report and key not in sent:
-                sent.add(key)
-                report_line = _dump({"kind": "nonfibre_report", **report.to_json()})
-            checks = []
-            for check in cert.checks:
-                entry = encoded.get(id(check))
-                if entry is None:
-                    entry = encoded[id(check)] = (check, _dump(check.to_json()))
-                checks.append(entry[1])
-            cert_line = _certificate_line(cert, ",".join(checks))
-        yield cert.label, cert.passed, key, report_line, cert_line
-
+# What this process has encoded in the current run, emptied at the start of
+# every run (before a pool forks, so every worker starts with nothing sent):
+# the keys of the reports whose lines it has made, and each check record it
+# has encoded, by identity, with its text (holding the record keeps its id
+# from being reused).
+_sent: set[str] = set()
+_checks: dict[int, tuple[engine.CheckRecord, str]] = {}
 
 Part = str | tuple[str, str]
 
 
-def _bundle_parts(rows: Iterable[tuple], tally: dict[str, list[int]]) -> Iterator[Part]:
-    """Count each row into `tally`, a [count, failed] per label, and yield its text.
+def _task(task: Task, tally: dict[str, list[int]]) -> Iterator[Part]:
+    """Count each certificate into `tally`, a [count, failed] per label; yield its text.
 
-    A report comes as (key, line), before the certificate line that first
-    uses it; every line ends in a newline.
+    Text is made only for a bundle.  A report comes as (key, line), before
+    the certificate line that uses it, the first time this process uses it
+    in the run; every line ends in a newline.
     """
-    for label, passed, key, report_line, cert_line in rows:
-        counts = tally.get(label)
+    for cert in engine.iter_certificates(*_scope(task)):
+        counts = tally.get(cert.label)
         if counts is None:
-            counts = tally[label] = [0, 0]
+            counts = tally[cert.label] = [0, 0]
         counts[0] += 1
-        counts[1] += not passed
-        if report_line:
-            yield key, report_line + "\n"
-        if cert_line:
-            yield cert_line + "\n"
+        counts[1] += not cert.passed
+        if not task.lines:
+            continue
+        report = cert.nonfibre_report
+        if report and report.key not in _sent:
+            _sent.add(report.key)
+            yield report.key, _dump({"kind": "nonfibre_report", **report.to_json()}) + "\n"
+        checks = []
+        for check in cert.checks:
+            entry = _checks.get(id(check))
+            if entry is None:
+                entry = _checks[id(check)] = (check, _dump(check.to_json()))
+            checks.append(entry[1])
+        yield _certificate_line(cert, ",".join(checks)) + "\n"
 
 
 def _task_certs(task: Task) -> tuple[dict[str, list[int]], list[Part]]:
-    """A pool task's result: its tally and its bundle text, runs of lines joined.
+    """A pool task's result: its tally and its bundle text.
 
-    The worker's encoder spans the run: the pool hands tasks out in order,
-    so the parent writes this worker's earlier tasks first, and the first
-    task to use a report always carries its line.
+    The pool hands tasks out in order, so the parent writes this worker's
+    earlier tasks first, and the first task to use a report always carries
+    its line.
     """
     tally: dict[str, list[int]] = {}
-    parts: list[Part] = []
-    run: list[str] = []
-    for part in _bundle_parts(_task(task, _worker), tally):
-        if isinstance(part, str):
-            run.append(part)
-        else:
-            if run:
-                parts.append("".join(run))
-                run = []
-            parts.append(part)
-    if run:
-        parts.append("".join(run))
-    return tally, parts
+    return tally, list(_task(task, tally))
 
 
 def Pool(processes: int):
@@ -333,24 +283,22 @@ def Pool(processes: int):
 def _iter_sweep(
     cfg: RunConfig, lines: bool
 ) -> Iterator[tuple[dict[str, list[int]], Iterable[Part]]]:
-    """(tally, bundle text) per task, in order.
+    """(tally, bundle text) per task, in order; a tally is complete once its text is drawn.
 
-    Serially each (type, k) task streams its lines as they are made, and its
-    tally is complete once they are drawn.  With `--jobs`, workers return
-    the shards of `_shards` whole.
+    Serially each task streams its text as it is made; with `--jobs`,
+    workers return it whole.
     """
-    global _worker
-    _worker = _Encoder()
-    shards = _shards(cfg, lines) if cfg.jobs > 1 else []
-    jobs = min(cfg.jobs, len(shards))
+    _sent.clear()
+    _checks.clear()
+    tasks = _tasks(cfg, lines)
+    jobs = min(cfg.jobs, len(tasks))
     if jobs <= 1:
-        for task in _tasks(cfg, lines):
-            _worker.checks.clear()  # held per task here, so the peak is one task's
+        for task in tasks:
             tally: dict[str, list[int]] = {}
-            yield tally, _bundle_parts(_task(task, _worker), tally)
+            yield tally, _task(task, tally)
     else:
         with Pool(jobs) as pool:
-            yield from pool.imap(_task_certs, shards)
+            yield from pool.imap(_task_certs, tasks)
 
 
 def _run_config_json(cfg: RunConfig) -> dict:
@@ -379,7 +327,7 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None) -> engine.SweepSummary:
         summary.merge(tally)  # complete once the parts are drawn
         if stream:
             stream.flush()
-        del tally, parts  # a shard's whole result: free it before waiting for the next
+        del tally, parts  # a task's whole result: free it before waiting for the next
     if stream:
         closing = {"kind": "summary", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**closing, **summary.to_json()}) + "\n")

@@ -94,6 +94,8 @@ class LinearSystem:
         if not self.variables:
             raise ValueError("system needs at least one variable")
         n = len(self.variables)
+        if len(set(self.variables)) != n:
+            raise ValueError("variable names must be distinct")
         for c in (*self.constraints, self.target):
             if len(c.coeffs) != n:
                 raise ValueError("coefficient arity mismatch")

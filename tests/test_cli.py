@@ -112,10 +112,10 @@ def test_certificate_lines_match_the_reference_encoding():
     count = 0
     for cfg in scopes:
         for task in cli._tasks(cfg, True):
-            rows = cli._task(task)
+            lines = [part for part in cli._task(task, {}) if isinstance(part, str)]
             certs = engine.iter_certificates(*cli._scope(task))
-            for (*_, line), cert in zip(rows, certs, strict=True):
-                assert line == cli._dump({"kind": "certificate", **cert.to_json()})
+            for line, cert in zip(lines, certs, strict=True):
+                assert line == cli._dump({"kind": "certificate", **cert.to_json()}) + "\n"
                 count += 1
     assert count > 3000  # 1,808 certificates in each of the first two scopes
 
@@ -214,6 +214,10 @@ def test_invalid_inputs_are_machine_readable(capsys, tmp_path):
         dict(system, target=dict(target, coeffs="1")),
         dict(system, target=dict(target, coeffs=[True])),
         [system],
+        # a repeated name would let the counterexample keep only one column
+        {"variables": ["x", "x"],
+         "constraints": [{"coeffs": ["1", "0"], "rel": ">=", "bound": "5"}],
+         "target": {"coeffs": ["0", "1"], "rel": ">=", "bound": "0"}},
     ):
         path.write_text(json.dumps(payload))
         code, _, err = run_cli(capsys, "lp-check", str(path))
@@ -280,25 +284,34 @@ def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):
 
 
 def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
-    encoded = []
+    encoded, checks = [], []
     to_json = nonfibre.NonFibreReport.to_json
+    check_to_json = engine.CheckRecord.to_json
 
     def counted(report):
         encoded.append(report.key)
         return to_json(report)
 
+    def counted_check(check):
+        checks.append(id(check))
+        return check_to_json(check)
+
     monkeypatch.setattr(nonfibre.NonFibreReport, "to_json", counted)
+    monkeypatch.setattr(engine.CheckRecord, "to_json", counted_check)
     monkeypatch.setattr(cli, "Pool", InlinePool)
     bundle = tmp_path / "certs.jsonl"
-    # serially, then through the in-process pool: its shards share one encoder
+    # serially, then through the in-process pool: one cache for the whole run,
+    # so the fibre records that types 1 and 3 share at each k are encoded once
     for jobs in ("1", "2"):
         encoded.clear()
+        checks.clear()
         code, _, _ = run_cli(capsys, "verify", "--types", "1,3", "--k", "2..5",
                              "--jobs", jobs, "--out", str(bundle))
         assert code == 0
         written = [line for line in bundle.read_text().splitlines()
                    if '"kind":"nonfibre_report"' in line]
         assert len(encoded) == len(set(encoded)) == len(written), jobs
+        assert checks and len(checks) == len(set(checks)), jobs
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
@@ -343,7 +356,7 @@ def test_shards_concatenate_to_the_whole_enumeration():
         for r_max in range(1, 7):
             cfg = cli.RunConfig("verify", surface_types=(type_id,), k_min=5, k_max=5,
                                 r_max=r_max)
-            shards = cli._shards(cfg, False)
+            shards = cli._tasks(cfg, False)
             sizes = [t.part.stop - t.part.start for t in shards]
             assert all(0 < n <= cli.SHARD_SKELETONS for n in sizes), (r_max, sizes)
             sharded = [c for t in shards
