@@ -23,7 +23,8 @@ import sys
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from . import configurations, engine, lp, tables
+from . import configurations, engine, lp, nonfibre, tables
+from .configurations import JetConfiguration
 from .lattice import DivisorClass
 from .surfaces import SurfaceType, surface
 
@@ -95,6 +96,13 @@ def _parse_krange(text: str) -> tuple[int, int]:
         raise ConfigError(f"cannot parse k range {text!r}") from None
 
 
+def _parse_int(text: str, key: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key} {text!r} (expected an integer)") from None
+
+
 def _parse_class(text: str) -> tuple[int, int]:
     try:
         a, b = (int(x) for x in text.split(","))
@@ -136,7 +144,7 @@ def build_run_config(mode: str, args: argparse.Namespace) -> RunConfig:
     if (v := pick("k", "k")) is not None:
         cfg.k_min, cfg.k_max = _parse_krange(v)
     if (v := pick("r_max", "r-max")) is not None:
-        cfg.r_max = int(v)
+        cfg.r_max = _parse_int(v, "r-max")
     if (v := pick("base_class", "class")) is not None:
         cfg.base_class = _parse_class(v)
     if (v := pick("out", "out")) is not None:
@@ -144,7 +152,7 @@ def build_run_config(mode: str, args: argparse.Namespace) -> RunConfig:
     if (v := pick("fmt", "format")) is not None:
         cfg.fmt = v
     if (v := pick("jobs", "jobs")) is not None:
-        cfg.jobs = int(v)
+        cfg.jobs = _parse_int(v, "jobs")
     if (v := getattr(args, "system", None)) is not None:
         cfg.system_path = v
     cfg.matrix = bool(getattr(args, "matrix", False))
@@ -155,7 +163,7 @@ def build_run_config(mode: str, args: argparse.Namespace) -> RunConfig:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _dump(obj: dict) -> str:
+def _dump(obj: object) -> str:
     return _ENCODER.encode(obj)
 
 
@@ -198,38 +206,82 @@ def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, int, slic
     return surface(task.type_id), task.k, base, task.r_max, task.part
 
 
-def _certificate_line(cert: engine.Certificate, checks: str) -> str:
-    """`_dump({"kind": "certificate", **cert.to_json()})`, given its encoded checks.
+# The text of each fragment of a bundle line this process has encoded in the
+# current run, with the object it encodes; emptied at the start of every run
+# (before a pool forks, so every worker starts with nothing).  Check records
+# and unbounded reports, which the engine and the report cache share between
+# certificates, are keyed by id (the entry holds the object, so its id cannot
+# be reused).  Everything else is keyed by value: A-blocks, block and weight
+# tuples, classes, strings and None.  No value key is an int, so the two
+# kinds of key never meet.
+_fragments: dict[object, tuple[object, str]] = {}
 
-    Keys in sorted order: "base" first, then "checks", then the rest.
-    """
-    report = cert.nonfibre_report
-    rest = _dump({
-        "config": cert.config.to_json(),
-        "f_class": cert.f_class.to_json() if cert.f_class else None,
-        "k": cert.k,
-        "kind": "certificate",
-        "label": cert.label,
-        "m_class": cert.m_class.to_json(),
-        "n_class": cert.n_class.to_json() if cert.n_class else None,
-        "nonfibre_ref": report.key if report else None,
-        "pass": cert.passed,
-        "seshadri_axiom": cert.seshadri_axiom,
-        "snc_axiom": cert.snc_axiom,
-        "surface_type": cert.surface_type,
-        "vanishing_theorem": cert.vanishing_theorem,
-    })
-    a, b = cert.base.to_pair()
-    return f'{{"base":[{a},{b}],"checks":[{checks}],{rest[1:]}'
-
-
-# What this process has encoded in the current run, emptied at the start of
-# every run (before a pool forks, so every worker starts with nothing sent):
-# the keys of the reports whose lines it has made, and each check record it
-# has encoded, by identity, with its text (holding the record keeps its id
-# from being reused).
+# the keys of the reports whose lines this process has made in the current run
 _sent: set[str] = set()
-_checks: dict[int, tuple[engine.CheckRecord, str]] = {}
+
+
+def _fragment(key: object, obj: object) -> str:
+    """`obj` encoded once per run: its `to_json()`, or itself if it has none."""
+    entry = _fragments.get(key)
+    if entry is None:
+        value = obj.to_json() if hasattr(obj, "to_json") else obj
+        entry = _fragments[key] = (obj, _dump(value))
+    return entry[1]
+
+
+def _config_text(config: JetConfiguration) -> str:
+    """`_dump(config.to_json())`, from the fragments of its blocks and weights.
+
+    The seven types share k's skeleton configurations, and a heavy-kind
+    variant is built anew for each type, but the blocks and weight tuples
+    they are made of are few: those are what a run keeps.
+    """
+    a_blocks = ",".join([_fragment(block, block) for block in config.a_blocks])
+    b_blocks, weights = config.b_blocks, config.weights
+    return (
+        f'{{"a_blocks":[{a_blocks}],"b_blocks":{_fragment(b_blocks, b_blocks)},'
+        f'"k":{config.k},"weights":{_fragment(weights, weights)}}}'
+    )
+
+
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _certificate_line(cert: engine.Certificate) -> str:
+    """`_dump({"kind": "certificate", **cert.to_json()}) + "\\n"`, from cached fragments."""
+    report = cert.nonfibre_report
+    key = report.key if report else None
+    a, b = cert.base.to_pair()
+    checks = ",".join([_fragment(id(check), check) for check in cert.checks])
+    seshadri = cert.seshadri_axiom
+    return (
+        f'{{"base":[{a},{b}],"checks":[{checks}],"config":{_config_text(cert.config)},'
+        f'"f_class":{_fragment(cert.f_class, cert.f_class)},"k":{cert.k},'
+        f'"kind":"certificate","label":{_fragment(cert.label, cert.label)},'
+        f'"m_class":{_fragment(cert.m_class, cert.m_class)},'
+        f'"n_class":{_fragment(cert.n_class, cert.n_class)},'
+        f'"nonfibre_ref":{_fragment(key, key)},"pass":{_json_bool(cert.passed)},'
+        f'"seshadri_axiom":{"null" if seshadri is None else _dump(seshadri)},'
+        f'"snc_axiom":{_json_bool(cert.snc_axiom)},"surface_type":{cert.surface_type},'
+        f'"vanishing_theorem":{_fragment(cert.vanishing_theorem, cert.vanishing_theorem)}}}\n'
+    )
+
+
+def _report_line(report: nonfibre.NonFibreReport) -> str:
+    """`_dump({"kind": "nonfibre_report", **report.to_json()}) + "\\n"`, from cached fragments.
+
+    The bounded cells are encoded here; the unbounded half is shared by
+    every report of its label, k, base and shared point.
+    """
+    bounded = _dump([cell.to_json() for cell in report.bounded])
+    return (
+        f'{{"bounded":{bounded},"key":{_fragment(report.key, report.key)},'
+        f'"kind":"nonfibre_report","label":{_fragment(report.label, report.label)},'
+        f'"pass":{_json_bool(report.passed)},'
+        f'"unbounded":{_fragment(id(report.unbounded), report.unbounded)}}}\n'
+    )
+
 
 Part = str | tuple[str, str]
 
@@ -252,14 +304,8 @@ def _task(task: Task, tally: dict[str, list[int]]) -> Iterator[Part]:
         report = cert.nonfibre_report
         if report and report.key not in _sent:
             _sent.add(report.key)
-            yield report.key, _dump({"kind": "nonfibre_report", **report.to_json()}) + "\n"
-        checks = []
-        for check in cert.checks:
-            entry = _checks.get(id(check))
-            if entry is None:
-                entry = _checks[id(check)] = (check, _dump(check.to_json()))
-            checks.append(entry[1])
-        yield _certificate_line(cert, ",".join(checks)) + "\n"
+            yield report.key, _report_line(report)
+        yield _certificate_line(cert)
 
 
 def _task_certs(task: Task) -> tuple[dict[str, list[int]], list[Part]]:
@@ -289,7 +335,7 @@ def _iter_sweep(
     workers return it whole.
     """
     _sent.clear()
-    _checks.clear()
+    _fragments.clear()
     tasks = _tasks(cfg, lines)
     jobs = min(cfg.jobs, len(tasks))
     if jobs <= 1:
@@ -433,8 +479,15 @@ def _cmd_lp_check(cfg: RunConfig) -> int:
     return _emit(cfg, json.dumps(out, sort_keys=True, indent=2), result.is_valid)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so they exit 2 with a JSON error record."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hyperjet",
         description="exact jet-ampleness certificates on hyperelliptic surfaces",
     )
@@ -474,9 +527,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _make_parser().parse_args(argv)
         cfg = build_run_config(args.mode, args)
         if cfg.mode == "verify":
             return _cmd_verify(cfg, negative=False)

@@ -392,10 +392,15 @@ def _arith_fact(name: str, description: str, values: dict, ok: bool) -> Implicat
     )
 
 
+@lru_cache(maxsize=None)
 def check_unbounded(
     label: str, k: int, base: DivisorClass, shared_exists: bool
 ) -> UnboundedReport:
-    """Assemble the unbounded-regime evidence for one case label."""
+    """Assemble the unbounded-regime evidence for one case label.
+
+    Memoized: every report of a label, k, base and shared point holds the
+    same object.
+    """
     battery = implication_battery()
     facts = [battery[name] for name in _LABEL_FACTS[label]]
     facts.append(survivor_chain_fact())

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +8,13 @@ from pathlib import Path
 
 from hyperjet import cli, engine, nonfibre
 from hyperjet.cli import main
-from hyperjet.configurations import enumerate_configurations, skeleton_count
+from hyperjet.configurations import (
+    ABlock,
+    JetConfiguration,
+    enumerate_configurations,
+    skeleton_count,
+)
+from hyperjet.lattice import BlowupClass
 from hyperjet.surfaces import surface
 
 
@@ -103,13 +110,28 @@ def test_bundle_bytes_are_pinned(capsys, tmp_path):
         assert hashlib.sha256(bundle.read_bytes()).hexdigest() == digest, argv
 
 
+def test_bundle_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "12345"):
+        bundle = tmp_path / f"seed{seed}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "hyperjet.cli", "verify", "--types", "all",
+             "--k", "2..4", "--out", str(bundle)],
+            capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert hashlib.sha256(bundle.read_bytes()).hexdigest() == (
+            "fad663a259d5ebd9bd37aff1ef8a9902d0d218d7c293e3c224231ee9932f0d27"
+        ), seed
+
+
 def test_certificate_lines_match_the_reference_encoding():
     scopes = [
         cli.RunConfig("verify", k_max=4),
         cli.RunConfig("verify", k_max=4, base_class=(3, 4)),
         cli.RunConfig("verify", k_max=4, r_max=2),
     ]
-    count = 0
+    count = r1 = 0
     for cfg in scopes:
         for task in cli._tasks(cfg, True):
             lines = [part for part in cli._task(task, {}) if isinstance(part, str)]
@@ -117,7 +139,30 @@ def test_certificate_lines_match_the_reference_encoding():
             for line, cert in zip(lines, certs, strict=True):
                 assert line == cli._dump({"kind": "certificate", **cert.to_json()}) + "\n"
                 count += 1
+                r1 += cert.seshadri_axiom is not None
     assert count > 3000  # 1,808 certificates in each of the first two scopes
+    assert r1 == 3 * 7 * 3  # the single point (R1) of each type and k, in each scope
+
+
+def test_report_lines_match_the_reference_encoding():
+    for base in (None, (3, 4)):
+        cfg = cli.RunConfig("verify", k_max=5, base_class=base)
+        reports = {r.key: r for task in cli._tasks(cfg, False)
+                   for r in engine.iter_reports(*cli._scope(task))}
+        bundle = io.StringIO()
+        cli.run_verify(cfg, bundle)
+        lines = [line for line in bundle.getvalue().splitlines(keepends=True)
+                 if line.startswith('{"bounded":')]
+        assert len(lines) == len(reports) > 200, base  # 257 at either base
+        for line in lines:
+            report = reports[json.loads(line)["key"]]
+            reference = {"kind": "nonfibre_report", **report.to_json()}
+            assert line == cli._dump(reference) + "\n"
+        # the class (3, 4) is below k+2 for every k: each report fails base-margin
+        margins = [p.passed for r in reports.values() for p in r.unbounded.premises
+                   if p.name == "base-margin"]
+        assert len(margins) == len(reports)
+        assert all(margins) if base is None else not any(margins)
 
 
 def test_verify_json_summary(capsys):
@@ -230,6 +275,19 @@ def test_invalid_inputs_are_machine_readable(capsys, tmp_path):
     )
     assert code == 2
     assert "r_max" in json.loads(err)["error"]["message"]
+    # errors that argparse catches: a JSON error record too, not usage text
+    for argv in (("--jobs", "x"), ("--r-max", "x"), ("--format", "xml"), ("--bogus",),
+                 ("--class", "-3,5")):  # -3,5 reads as a flag: write --class=-3,5
+        code, out, err = run_cli(capsys, "verify", "--types", "1", "--k", "2", *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["type"] == "ConfigError", argv
+    for key in ("jobs", "r-max"):
+        conf.write_text(f"{key} = x\n")
+        code, _, err = run_cli(
+            capsys, "verify", "--types", "1", "--k", "2", "--config", str(conf)
+        )
+        assert code == 2
+        assert key in json.loads(err)["error"]["message"]
 
 
 def test_table_matrix_dump(capsys):
@@ -284,27 +342,42 @@ def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):
 
 
 def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
-    encoded, checks = [], []
-    to_json = nonfibre.NonFibreReport.to_json
-    check_to_json = engine.CheckRecord.to_json
+    encoded, checks, configs, blocks, tuples, classes, unbounded = ([] for _ in range(7))
+    # a report line is made by `cli._report_line`, not `NonFibreReport.to_json`
+    report_line, dump = cli._report_line, cli._dump
 
     def counted(report):
         encoded.append(report.key)
-        return to_json(report)
+        return report_line(report)
 
-    def counted_check(check):
-        checks.append(id(check))
-        return check_to_json(check)
+    def counted_dump(obj):
+        if isinstance(obj, tuple):  # block lists and weight vectors
+            tuples.append(obj)
+        return dump(obj)
 
-    monkeypatch.setattr(nonfibre.NonFibreReport, "to_json", counted)
-    monkeypatch.setattr(engine.CheckRecord, "to_json", counted_check)
+    def counting(cls, into, key):
+        to_json = cls.to_json
+
+        def wrapper(obj):
+            into.append(key(obj))
+            return to_json(obj)
+
+        monkeypatch.setattr(cls, "to_json", wrapper)
+
+    monkeypatch.setattr(cli, "_report_line", counted)
+    monkeypatch.setattr(cli, "_dump", counted_dump)
+    counting(engine.CheckRecord, checks, id)
+    counting(JetConfiguration, configs, id)
+    counting(ABlock, blocks, lambda b: b)
+    counting(BlowupClass, classes, lambda c: c)
+    counting(nonfibre.UnboundedReport, unbounded, id)
     monkeypatch.setattr(cli, "Pool", InlinePool)
     bundle = tmp_path / "certs.jsonl"
     # serially, then through the in-process pool: one cache for the whole run,
     # so the fibre records that types 1 and 3 share at each k are encoded once
     for jobs in ("1", "2"):
-        encoded.clear()
-        checks.clear()
+        for counts in (encoded, checks, configs, blocks, tuples, classes, unbounded):
+            counts.clear()
         code, _, _ = run_cli(capsys, "verify", "--types", "1,3", "--k", "2..5",
                              "--jobs", jobs, "--out", str(bundle))
         assert code == 0
@@ -312,6 +385,14 @@ def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
                    if '"kind":"nonfibre_report"' in line]
         assert len(encoded) == len(set(encoded)) == len(written), jobs
         assert checks and len(checks) == len(set(checks)), jobs
+        # a configuration's text is made from its A-blocks, its B-block
+        # tuple and its weight tuple, each encoded once per distinct value
+        assert configs == [], jobs
+        assert blocks and len(blocks) == len(set(blocks)), jobs
+        assert tuples and len(tuples) == len(set(tuples)), jobs
+        assert classes and len(classes) == len(set(classes)), jobs
+        # one unbounded half per label, k and shared point, not one per report
+        assert unbounded and len(unbounded) == len(set(unbounded)) < len(written) / 4, jobs
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
