@@ -19,6 +19,8 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
+import re
 import sys
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -29,9 +31,6 @@ from .lattice import DivisorClass
 from .surfaces import SurfaceType, surface
 
 SCHEMA_VERSION = "1"
-
-_MODES = ("verify", "table", "catalog", "negative-control", "lp-check")
-_CONFIG_KEYS = ("types", "k", "r-max", "class", "out", "format", "jobs")
 
 
 @dataclasses.dataclass
@@ -49,10 +48,6 @@ class RunConfig:
     matrix: bool = False
 
     def validate(self) -> None:
-        if self.mode not in _MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if not self.surface_types:
-            raise ConfigError("at least one surface type is required")
         if any(t not in range(1, 8) for t in self.surface_types):
             raise ConfigError("surface types must be in 1..7")
         if self.k_min > self.k_max:
@@ -64,10 +59,10 @@ class RunConfig:
             )
         if self.r_max is not None and self.r_max < 1:
             raise ConfigError("r-max must be positive")
-        if self.fmt not in ("text", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be positive")
+        if self.out == "":
+            raise ConfigError("out must be a path, not empty")
         if self.mode == "negative-control" and self.base_class is None:
             raise ConfigError("negative-control requires --class a,b")
 
@@ -82,7 +77,7 @@ def _parse_types(text: str) -> tuple[int, ...]:
     try:
         return tuple(sorted({int(t) for t in text.split(",")}))
     except ValueError:
-        raise ConfigError(f"cannot parse types {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse types {text!r}") from None
 
 
 def _parse_krange(text: str) -> tuple[int, int]:
@@ -93,14 +88,7 @@ def _parse_krange(text: str) -> tuple[int, int]:
             return int(lo), int(hi)
         return int(text), int(text)
     except ValueError:
-        raise ConfigError(f"cannot parse k range {text!r}") from None
-
-
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse {key} {text!r} (expected an integer)") from None
+        raise argparse.ArgumentTypeError(f"cannot parse k range {text!r}") from None
 
 
 def _parse_class(text: str) -> tuple[int, int]:
@@ -108,54 +96,42 @@ def _parse_class(text: str) -> tuple[int, int]:
         a, b = (int(x) for x in text.split(","))
         return a, b
     except ValueError:
-        raise ConfigError(f"cannot parse class {text!r} (expected a,b)") from None
+        raise argparse.ArgumentTypeError(
+            f"cannot parse class {text!r} (expected a,b)"
+        ) from None
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_args(path: str) -> list[str]:
+    """Each `key = value` line of a config file as the argument `--key=value`.
+
+    A `#` at the start of a line or after whitespace starts a comment.
+    """
+    args = []
     for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0]
+        if not line.strip():
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not re.fullmatch(r"[\w-]+", key):
             raise ConfigError(f"config line {raw!r} is not key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
-    return values
+        if key == "config":
+            raise ConfigError("a config file cannot name another config file")
+        args.append(f"--{key}={value}")
+    return args
 
 
-def build_run_config(mode: str, args: argparse.Namespace) -> RunConfig:
-    file_vals = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(file_vals) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys {unknown}; expected {', '.join(_CONFIG_KEYS)}"
-        )
-
-    def pick(flag: str, key: str) -> str | None:
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return file_vals.get(key)
-
-    cfg = RunConfig(mode=mode)
-    if (v := pick("types", "types")) is not None:
-        cfg.surface_types = _parse_types(v)
-    if (v := pick("k", "k")) is not None:
-        cfg.k_min, cfg.k_max = _parse_krange(v)
-    if (v := pick("r_max", "r-max")) is not None:
-        cfg.r_max = _parse_int(v, "r-max")
-    if (v := pick("base_class", "class")) is not None:
-        cfg.base_class = _parse_class(v)
-    if (v := pick("out", "out")) is not None:
-        cfg.out = v
-    if (v := pick("fmt", "format")) is not None:
-        cfg.fmt = v
-    if (v := pick("jobs", "jobs")) is not None:
-        cfg.jobs = _parse_int(v, "jobs")
-    if (v := getattr(args, "system", None)) is not None:
-        cfg.system_path = v
-    cfg.matrix = bool(getattr(args, "matrix", False))
+def build_run_config(argv: list[str]) -> RunConfig:
+    """The run `argv` asks for; a config file's lines go before its flags, so flags win."""
+    parser = _make_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "config"):
+        at = argv.index(args.mode) + 1
+        args = parser.parse_args(argv[:at] + _config_args(args.config) + argv[at:])
+    fields = vars(args)
+    fields.pop("config", None)
+    if "k" in fields:
+        fields["k_min"], fields["k_max"] = fields.pop("k")
+    cfg = RunConfig(**fields)
     cfg.validate()
     return cfg
 
@@ -178,7 +154,6 @@ class Task(NamedTuple):
     type_id: int
     k: int
     base: tuple[int, int] | None
-    r_max: int
     lines: bool
     part: slice
 
@@ -186,24 +161,26 @@ class Task(NamedTuple):
 def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
     """Each (type, k) in scope as consecutive slices of at most SHARD_SKELETONS entries.
 
-    The point cap is clamped per k.  Each k's skeleton table is built here,
-    so pool workers forked afterwards inherit it instead of building it again.
+    The slices end at the point cap, clamped per k.  Each k's skeleton table
+    is built here, so pool workers forked afterwards inherit it instead of
+    building it again.
     """
     return [
-        Task(t, k, cfg.base_class, r_max, lines,
-             slice(start, min(start + SHARD_SKELETONS, count)))
+        Task(t, k, cfg.base_class, lines, slice(start, min(start + SHARD_SKELETONS, count)))
         for t in cfg.surface_types
         for k in range(cfg.k_min, cfg.k_max + 1)
-        for r_max in [min(cfg.r_max or k + 1, k + 1)]
-        for count in [configurations.skeleton_count(k, r_max)]
+        for count in [configurations.skeleton_count(k, min(cfg.r_max or k + 1, k + 1))]
         for start in range(0, count, SHARD_SKELETONS)
     ]
 
 
-def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, int, slice]:
-    """(surface, k, base, r_max, part) of a task, as the engine's iterators take them."""
+def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, None, slice]:
+    """(surface, k, base, r_max, part) of a task, as the engine's iterators take them.
+
+    There is no point cap: the part already ends at it.
+    """
     base = DivisorClass(*task.base) if task.base else None
-    return surface(task.type_id), task.k, base, task.r_max, task.part
+    return surface(task.type_id), task.k, base, None, task.part
 
 
 # The text of each fragment of a bundle line this process has encoded in the
@@ -487,66 +464,78 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _make_parser() -> argparse.ArgumentParser:
+    arguments = {
+        "--types": dict(dest="surface_types", metavar="TYPES", type=_parse_types,
+                        help="comma list of types in 1..7, or 'all'"),
+        "--k": dict(type=_parse_krange, help="k range, e.g. 2..5 or 3"),
+        "--r-max": dict(dest="r_max", type=int, help="cap on the number of points"),
+        "--class": dict(dest="base_class", metavar="CLASS", type=_parse_class,
+                        help="base class a,b, e.g. 5,5"),
+        "--matrix": dict(action="store_true",
+                         help="dump the full bounded-regime check matrix instead"),
+        "--jobs": dict(type=int, help="worker processes"),
+        "--out": dict(help="output path"),
+        "--format": dict(dest="fmt", choices=("text", "json")),
+        "--config": dict(help="file of key = value lines, each read as its flag, "
+                              "before the flags given here"),
+        "system_path": dict(metavar="system", nargs="?", default="-",
+                            help="JSON file with variables/constraints/target ('-' = stdin)"),
+    }
+    sweep = ("--types", "--k", "--r-max", "--class")
+    # flags are spelled in full; a flag not given leaves its RunConfig default
+    options = {"allow_abbrev": False, "argument_default": argparse.SUPPRESS}
     parser = _Parser(
         prog="hyperjet",
         description="exact jet-ampleness certificates on hyperelliptic surfaces",
+        **options,
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def common(p: argparse.ArgumentParser, with_sweep: bool) -> None:
-        p.add_argument("--out", help="output path")
-        p.add_argument("--format", dest="fmt", choices=("text", "json"))
-        p.add_argument("--config", help="key = value configuration file")
-        if with_sweep:
-            p.add_argument("--types", help="comma list of types in 1..7, or 'all'")
-            p.add_argument("--k", help="k range, e.g. 2..5 or 3")
-            p.add_argument("--r-max", dest="r_max", type=int,
-                           help="cap on the number of points")
-            p.add_argument("--jobs", type=int, help="worker processes")
-
-    p = sub.add_parser("verify", help="verify all configurations")
-    common(p, True)
-    p.add_argument("--class", dest="base_class",
-                   help="override the base class, e.g. 5,5")
-    p = sub.add_parser("negative-control",
-                       help="verify with a deficient base class")
-    common(p, True)
-    p.add_argument("--class", dest="base_class", help="base class a,b")
-    p = sub.add_parser("table", help="bounded-curve table vs golden copy")
-    common(p, True)
-    p.add_argument("--matrix", action="store_true",
-                   help="dump the full bounded-regime check matrix instead")
-    p.add_argument("--class", dest="base_class", help="base class a,b")
-    p = sub.add_parser("catalog", help="surface catalog vs golden copy")
-    common(p, False)
-    p = sub.add_parser("lp-check", help="exact linear implication query")
-    common(p, False)
-    p.add_argument("system", nargs="?", default="-",
-                   help="JSON file with variables/constraints/target ('-' = stdin)")
+    for mode, help, names in (
+        ("verify", "verify all configurations", (*sweep, "--jobs", "--format")),
+        ("negative-control", "verify with a deficient base class",
+         (*sweep, "--jobs", "--format")),
+        ("table", "bounded-curve table vs golden copy", (*sweep, "--matrix", "--format")),
+        ("catalog", "surface catalog vs golden copy", ("--format",)),
+        ("lp-check", "exact linear implication query (prints JSON)", ("system_path",)),
+    ):
+        p = sub.add_parser(mode, help=help, **options)
+        for name in (*names, "--out", "--config"):
+            p.add_argument(name, **arguments[name])
     return parser
+
+
+def _run(cfg: RunConfig) -> int:
+    """Run the mode `cfg` names; its exit status."""
+    if cfg.mode == "verify":
+        return _cmd_verify(cfg, negative=False)
+    if cfg.mode == "negative-control":
+        return _cmd_verify(cfg, negative=True)
+    if cfg.mode == "table" and cfg.matrix:
+        return _cmd_matrix(cfg)
+    if cfg.mode == "table":
+        return _cmd_golden(
+            cfg, tables.bounded_curve_rows(), tables.golden_bounded_curve_rows(),
+            tables.render_curve_table,
+        )
+    if cfg.mode == "catalog":
+        return _cmd_golden(
+            cfg, tables.catalog_rows(), tables.golden_catalog_rows(),
+            tables.render_catalog,
+        )
+    return _cmd_lp_check(cfg)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _make_parser().parse_args(argv)
-        cfg = build_run_config(args.mode, args)
-        if cfg.mode == "verify":
-            return _cmd_verify(cfg, negative=False)
-        if cfg.mode == "negative-control":
-            return _cmd_verify(cfg, negative=True)
-        if cfg.mode == "table" and cfg.matrix:
-            return _cmd_matrix(cfg)
-        if cfg.mode == "table":
-            return _cmd_golden(
-                cfg, tables.bounded_curve_rows(), tables.golden_bounded_curve_rows(),
-                tables.render_curve_table,
-            )
-        if cfg.mode == "catalog":
-            return _cmd_golden(
-                cfg, tables.catalog_rows(), tables.golden_catalog_rows(),
-                tables.render_catalog,
-            )
-        return _cmd_lp_check(cfg)
+        code = _run(build_run_config(sys.argv[1:] if argv is None else argv))
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: end quietly, with the status a shell
+        # reports for a process that SIGPIPE (13) ended; the interpreter's
+        # last flush of stdout then goes nowhere instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + 13
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(
             json.dumps(

@@ -1,7 +1,10 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -228,6 +231,12 @@ def test_config_file(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["run"]["types"] == [5]
+    # a `#` starts a comment only at the start of a line or after whitespace
+    bundle = tmp_path / "run#2.jsonl"
+    conf.write_text(f"types = 5\nout = {bundle}\njobs = 1  # serial\n")
+    code, _, err = run_cli(capsys, "verify", "--config", str(conf))
+    assert code == 0, err
+    assert json.loads(bundle.read_text().splitlines()[-1])["kind"] == "summary"
 
 
 def test_flags_override_config_file(capsys, tmp_path):
@@ -277,17 +286,101 @@ def test_invalid_inputs_are_machine_readable(capsys, tmp_path):
     assert "r_max" in json.loads(err)["error"]["message"]
     # errors that argparse catches: a JSON error record too, not usage text
     for argv in (("--jobs", "x"), ("--r-max", "x"), ("--format", "xml"), ("--bogus",),
-                 ("--class", "-3,5")):  # -3,5 reads as a flag: write --class=-3,5
+                 ("--class", "-3,5"),  # -3,5 reads as a flag: write --class=-3,5
+                 ("--out", "")):  # an empty path would write no bundle
         code, out, err = run_cli(capsys, "verify", "--types", "1", "--k", "2", *argv)
         assert code == 2 and out == "", argv
         assert json.loads(err)["error"]["type"] == "ConfigError", argv
-    for key in ("jobs", "r-max"):
-        conf.write_text(f"{key} = x\n")
+    for key, value in (("jobs", "x"), ("r-max", "x"), ("out", ""), ("config", "x")):
+        conf.write_text(f"{key} = {value}\n")
         code, _, err = run_cli(
             capsys, "verify", "--types", "1", "--k", "2", "--config", str(conf)
         )
         assert code == 2
         assert key in json.loads(err)["error"]["message"]
+
+
+def test_config_keys_are_accepted_exactly_where_their_flags_are(capsys, tmp_path):
+    system = tmp_path / "sys.json"
+    target = {"coeffs": ["1"], "rel": ">=", "bound": "0"}
+    system.write_text(json.dumps({"variables": ["x"], "constraints": [], "target": target}))
+    scopes = {
+        "verify": ("--types", "1", "--k", "2"),
+        "negative-control": ("--types", "1", "--k", "2", "--class", "3,4"),
+        "table": (),
+        "catalog": (),
+        "lp-check": (str(system),),
+    }
+    values = {"types": "1", "k": "2", "r-max": "1", "class": "3,4", "jobs": "1",
+              "format": "json", "out": str(tmp_path / "out.txt"), "typ": "1"}
+    conf = tmp_path / "key.conf"
+    rejected = set()
+    for mode, scope in scopes.items():
+        for key, value in values.items():
+            flag_code, _, _ = run_cli(capsys, mode, *scope, f"--{key}", value)
+            conf.write_text(f"{key} = {value}\n")
+            code, out, err = run_cli(capsys, mode, *scope, "--config", str(conf))
+            assert (code == 2) == (flag_code == 2), (mode, key, err)
+            if code == 2:
+                assert out == "" and key in json.loads(err)["error"]["message"]
+                rejected.add((mode, key))
+    sweep = {"types", "k", "r-max", "class"}
+    assert rejected == {(mode, key) for mode, keys in (
+        ("verify", {"typ"}),  # flags and keys are spelled in full
+        ("negative-control", {"typ"}),
+        ("table", {"jobs", "typ"}),
+        ("catalog", sweep | {"jobs", "typ"}),
+        ("lp-check", sweep | {"jobs", "format", "typ"}),  # it always prints JSON
+    ) for key in keys}
+
+
+def test_readme_command_lines_use_the_flags_of_each_mode():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n#")[0]
+    parser = cli._make_parser()
+    commands = [line for line in section.splitlines() if line.startswith("hyperjet ")]
+    assert len(commands) >= 8
+    for line in commands:
+        parser.parse_args(shlex.split(line, comments=True)[1:])  # raises on a bad flag
+    # the table of each mode's flags is the parser's, and so is each --help
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    declared = {mode: {flag for action in p._actions for flag in action.option_strings}
+                - {"-h", "--help"} for mode, p in subparsers.choices.items()}
+    documented = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            modes, flags = row.split("|")[1:3]
+            for mode in re.findall(r"`([\w-]+)`", modes):
+                documented[mode] = set(re.findall(r"`(--[\w-]+)`", flags))
+    assert documented == declared
+    for mode, flags in declared.items():
+        listed = re.findall(r"^  (--[\w-]+)", subparsers.choices[mode].format_help(), re.M)
+        assert set(listed) == flags, mode
+
+
+def test_closed_stdout_ends_the_run_quietly(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    missing = str(tmp_path / "missing" / "certs.jsonl")
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        for argv, status in ((["catalog"], 141),
+                             (["verify", "--types", "1", "--k", "2"], 141),
+                             (["verify", "--types", "1", "--k", "2", "--out", missing], 2)):
+            read, write = os.pipe()
+            os.close(read)  # the reader is gone before the run starts
+            try:
+                proc = subprocess.run([sys.executable, "-m", "hyperjet.cli", *argv],
+                                      stdout=write, stderr=subprocess.PIPE,
+                                      env={**env, **unbuffered}, timeout=120)
+            finally:
+                os.close(write)
+            assert proc.returncode == status, (unbuffered, argv, proc.stderr)
+            if status == 141:  # as a shell reports SIGPIPE, with nothing on stderr
+                assert proc.stderr == b"", (unbuffered, argv)
+            else:  # a bundle file that cannot be written is still an input error
+                assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"
 
 
 def test_table_matrix_dump(capsys):
