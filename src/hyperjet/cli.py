@@ -3,6 +3,8 @@
 Subcommands:
     verify            certificates for all configurations over types x k
     table             recompute the bounded-curve table and diff the golden copy
+    matrix            bounded-regime check matrices, one per distinct non-fibre
+                      report of the configurations in scope
     catalog           recompute the surface catalog and diff the golden copy
     negative-control  verify with a caller-supplied base class; succeeds when
                       at least one explicit failure witness is found
@@ -45,7 +47,6 @@ class RunConfig:
     fmt: str = "text"
     jobs: int = 1
     system_path: str | None = None
-    matrix: bool = False
 
     def validate(self) -> None:
         if any(t not in range(1, 8) for t in self.surface_types):
@@ -174,13 +175,13 @@ def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
     ]
 
 
-def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, None, slice]:
-    """(surface, k, base, r_max, part) of a task, as the engine's iterators take them.
+def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, slice]:
+    """(surface, k, base, part) of a task, as the engine's iterators take them.
 
-    There is no point cap: the part already ends at it.
+    The part ends at the point cap.
     """
     base = DivisorClass(*task.base) if task.base else None
-    return surface(task.type_id), task.k, base, None, task.part
+    return surface(task.type_id), task.k, base, task.part
 
 
 # The text of each fragment of a bundle line this process has encoded in the
@@ -471,8 +472,6 @@ def _make_parser() -> argparse.ArgumentParser:
         "--r-max": dict(dest="r_max", type=int, help="cap on the number of points"),
         "--class": dict(dest="base_class", metavar="CLASS", type=_parse_class,
                         help="base class a,b, e.g. 5,5"),
-        "--matrix": dict(action="store_true",
-                         help="dump the full bounded-regime check matrix instead"),
         "--jobs": dict(type=int, help="worker processes"),
         "--out": dict(help="output path"),
         "--format": dict(dest="fmt", choices=("text", "json")),
@@ -494,7 +493,8 @@ def _make_parser() -> argparse.ArgumentParser:
         ("verify", "verify all configurations", (*sweep, "--jobs", "--format")),
         ("negative-control", "verify with a deficient base class",
          (*sweep, "--jobs", "--format")),
-        ("table", "bounded-curve table vs golden copy", (*sweep, "--matrix", "--format")),
+        ("table", "bounded-curve table vs golden copy", ("--format",)),
+        ("matrix", "bounded-regime check matrices", (*sweep, "--format")),
         ("catalog", "surface catalog vs golden copy", ("--format",)),
         ("lp-check", "exact linear implication query (prints JSON)", ("system_path",)),
     ):
@@ -510,7 +510,7 @@ def _run(cfg: RunConfig) -> int:
         return _cmd_verify(cfg, negative=False)
     if cfg.mode == "negative-control":
         return _cmd_verify(cfg, negative=True)
-    if cfg.mode == "table" and cfg.matrix:
+    if cfg.mode == "matrix":
         return _cmd_matrix(cfg)
     if cfg.mode == "table":
         return _cmd_golden(

@@ -169,14 +169,6 @@ class Classification:
     heavy_b: int | None = None  # index into cfg.b_blocks
     shared_point: int | None = None  # unique point in the heavy pair, if any
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "heavy_a": self.heavy_a,
-            "heavy_b": self.heavy_b,
-            "shared_point": self.shared_point,
-        }
-
 
 def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
     """Assign a configuration to its proof case.  Total and deterministic.

@@ -147,21 +147,11 @@ def build_twist(
 
 
 def build_correction(
-    cfg: JetConfiguration,
-    cls: Classification,
-    s: SurfaceType,
-    base: DivisorClass | None = None,
-    m_class: BlowupClass | None = None,
+    cfg: JetConfiguration, cls: Classification, s: SurfaceType, m_class: BlowupClass
 ) -> tuple[BlowupClass, BlowupClass]:
-    """The SNC correction F (strict transforms of the heavy fibres) and N = M - F.
-
-    `m_class` is M when the caller has built it already; otherwise M is built
-    from `base`.
-    """
+    """The SNC correction F (strict transforms of the heavy fibres) and N = M - F."""
     if cls.label not in NORIMATSU_LABELS:
         raise ValueError(f"case {cls.label} uses no correction divisor")
-    if m_class is None:
-        m_class = build_twist(cfg.k, cfg.weights, base)
     fa, fb = DivisorClass(0, 0), DivisorClass(0, 0)
     exc = [0] * cfg.r
     if cls.label in (CASE_IIA, CASE_IIB):
@@ -311,7 +301,7 @@ def twisted_classes(
     m_class = build_twist(cfg.k, cfg.weights, base)
     if cls.label not in NORIMATSU_LABELS:
         return m_class, None, None
-    return (m_class, *build_correction(cfg, cls, s, base, m_class))
+    return (m_class, *build_correction(cfg, cls, s, m_class))
 
 
 def verify(
@@ -379,7 +369,6 @@ def iter_certificates(
     s: SurfaceType,
     k: int,
     base: DivisorClass | None = None,
-    r_max: int | None = None,
     part: slice | None = None,
 ) -> Iterator[Certificate]:
     """Certificates for every enumerated configuration of one (type, k).
@@ -387,7 +376,7 @@ def iter_certificates(
     `part` restricts them to a slice of k's skeleton table, as
     `enumerate_configurations` takes it.
     """
-    for cfg in enumerate_configurations(k, s, r_max, part):
+    for cfg in enumerate_configurations(k, s, part=part):
         yield verify(cfg, s, base)
 
 
@@ -395,7 +384,6 @@ def iter_reports(
     s: SurfaceType,
     k: int,
     base: DivisorClass | None = None,
-    r_max: int | None = None,
     part: slice | None = None,
 ) -> Iterator[nonfibre.NonFibreReport]:
     """The non-fibre report of every enumerated configuration but the single point.
@@ -405,7 +393,7 @@ def iter_reports(
     """
     if base is None:
         base = default_base(k)
-    for cfg in enumerate_configurations(k, s, r_max, part):
+    for cfg in enumerate_configurations(k, s, part=part):
         cls = classify(cfg, s)
         if cls.label != R1:
             m_class, _, n_class = twisted_classes(cfg, cls, s, base)

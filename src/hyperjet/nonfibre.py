@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from . import lp
 from .configurations import (
@@ -62,8 +63,16 @@ AUX_CLASS = DivisorClass(4, 4)  # auxiliary interpolating divisors live in |(4,4
 # Bounded regime, extremal form: exact minimum per class via genus knapsack
 # ---------------------------------------------------------------------------
 
-_COST = [v * (v - 1) for v in range(7)]  # multiplicity cost under the genus bound
+def max_multiplicity(budget: int, cap: int | None = None) -> int:
+    """Largest multiplicity m of one point within a genus budget: m(m-1) <= budget, m <= cap."""
+    # m(m-1) <= budget  <=>  (2m-1)^2 <= 4*budget + 1
+    m = (1 + isqrt(4 * budget + 1)) // 2
+    return m if cap is None else min(m, cap)
+
+
 _MAX_BUDGET = 2 * BOUNDED_MAX * BOUNDED_MAX
+# multiplicity cost under the genus bound, for each multiplicity the box allows
+_COST = [v * (v - 1) for v in range(max_multiplicity(_MAX_BUDGET) + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -78,10 +87,10 @@ def _assignment_maxima(coefs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[t
     for i in range(n):
         for budget in range(_MAX_BUDGET + 1):
             top, top_v = -1, 0
-            for v in range(7):
-                if _COST[v] > budget:
+            for v, cost in enumerate(_COST):
+                if cost > budget:
                     break
-                cand = coefs[i] * v + best[i][budget - _COST[v]]
+                cand = coefs[i] * v + best[i][budget - cost]
                 if cand > top:
                     top, top_v = cand, v
             best[i + 1][budget] = top

@@ -99,15 +99,6 @@ def surface(type_id: int) -> SurfaceType:
     return _CATALOG[type_id - 1]
 
 
-def is_vertical_effective(s: SurfaceType, b: int) -> bool:
-    """Whether the vertical class (0, b) is effective.
-
-    (0, b) = b*(mu/gamma)*B is effective iff b*(mu/gamma) is a non-negative
-    integer, i.e. b >= 0 and gamma divides b*mu.
-    """
-    return b >= 0 and (b * s.mu) % s.gamma == 0
-
-
 def fibre_classes(s: SurfaceType) -> tuple[tuple[DivisorClass, str], ...]:
     """Curve classes of fibres that positivity checks intersect against.
 

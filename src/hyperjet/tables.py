@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .genus import max_single_multiplicity
-from .lattice import DivisorClass
+from .nonfibre import max_multiplicity
 from .surfaces import catalog
 
 _ROMAN = ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x")
@@ -31,13 +30,6 @@ def catalog_rows() -> list[dict]:
     return [s.to_json() for s in catalog()]
 
 
-def _max_with_budget(budget: int, cap: int) -> int:
-    m = cap
-    while m > 1 and m * (m - 1) > budget:
-        m -= 1
-    return m
-
-
 def bounded_curve_rows() -> list[dict]:
     """Multiplicity-bound table for classes (alpha, beta) with both <= 4.
 
@@ -53,15 +45,15 @@ def bounded_curve_rows() -> list[dict]:
     ]
     for idx, (a, b) in enumerate(classes):
         budget = 2 * a * b
-        max_mult = max_single_multiplicity(DivisorClass(a, b))
+        max_mult = max_multiplicity(budget)
         auto = (a + b) // 2
         pairs = []
         extra = 0
         for m1 in range(max_mult, auto, -1):
-            m2 = _max_with_budget(budget - m1 * (m1 - 1), m1)
+            m2 = max_multiplicity(budget - m1 * (m1 - 1), m1)
             pairs.append([m1, m2])
             residual = budget - m1 * (m1 - 1) - m2 * (m2 - 1)
-            extra = max(extra, _max_with_budget(residual, m2))
+            extra = max(extra, max_multiplicity(residual, m2))
         row_classes = [[a, b]] if a == b else [[a, b], [b, a]]
         rows.append(
             {

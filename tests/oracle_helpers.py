@@ -4,13 +4,16 @@ The incidence and naive bounded oracles are written from first principles,
 without reusing the package's enumeration or closed forms, so that agreement
 is a real check and not a tautology.  The fully materialized bounded checks
 (`check_bounded`) evaluate every genus-admissible assignment directly, the
-reference for the package's extremal knapsack cells.
+reference for the package's extremal knapsack cells.  The genus-bound
+oracles (`genus_admissible`, `max_single_multiplicity`,
+`enumerate_admissible`) filter the multiplicity vectors it evaluates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 from typing import Iterator
 
 from hyperjet.configurations import (
@@ -31,15 +34,76 @@ from hyperjet.configurations import (
     is_heavy,
     weight_partitions,
 )
-from hyperjet.genus import (
-    CurveCandidate,
-    enumerate_admissible,
-    genus_admissible,
-    max_single_multiplicity,
-)
 from hyperjet.lattice import BlowupClass, DivisorClass, blowup_intersect, intersect
 from hyperjet.nonfibre import BOUNDED_MAX
 from hyperjet.surfaces import FULL_A, INTERMEDIATE_A, SINGULAR_A, SurfaceType
+
+
+@dataclass(frozen=True)
+class CurveCandidate:
+    """A class (alpha, beta) with multiplicities at labeled points."""
+
+    cls: DivisorClass
+    mults: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if any(m < 0 for m in self.mults):
+            raise ValueError("multiplicities must be non-negative")
+        if not any(m > 0 for m in self.mults):
+            raise ValueError("at least one multiplicity must be positive")
+
+
+def genus_admissible(c: CurveCandidate) -> bool:
+    """The genus bound: True iff sum m_i(m_i - 1) <= 2*alpha*beta.
+
+    C has normalisation of genus at least 1 (it dominates the elliptic
+    base), while the genus formula bounds its genus from above by
+    C^2/2 + 1 - sum m_i(m_i-1)/2.
+    """
+    return sum(m * (m - 1) for m in c.mults) <= 2 * c.cls.a * c.cls.b
+
+
+def max_single_multiplicity(cls: DivisorClass) -> int:
+    """Largest m with m(m-1) <= 2*alpha*beta."""
+    if cls.a < 1 or cls.b < 1:
+        raise ValueError("requires alpha >= 1 and beta >= 1")
+    bound = 2 * cls.a * cls.b
+    # m^2 - m - bound <= 0  <=>  m <= (1 + sqrt(1 + 4*bound)) / 2
+    m = (1 + isqrt(1 + 4 * bound)) // 2
+    while m * (m - 1) > bound:
+        m -= 1
+    return m
+
+
+def enumerate_admissible(
+    cls: DivisorClass, r: int, cap: int
+) -> list[tuple[int, ...]]:
+    """All non-increasing admissible vectors of length r, entries <= cap, m_1 >= 1.
+
+    Output is in ascending lexicographic order and equals the brute-force
+    filter of the full box intersected with non-increasing vectors.
+    """
+    if r < 1 or cap < 1:
+        raise ValueError("need r >= 1 and cap >= 1")
+    budget = 2 * cls.a * cls.b
+    out: list[tuple[int, ...]] = []
+    vec: list[int] = []
+
+    def rec(pos: int, prev: int, used: int) -> None:
+        if pos == r:
+            out.append(tuple(vec))
+            return
+        lo = 1 if pos == 0 else 0
+        for m in range(lo, prev + 1):
+            cost = m * (m - 1)
+            if used + cost > budget:
+                break
+            vec.append(m)
+            rec(pos + 1, m, used + cost)
+            vec.pop()
+
+    rec(0, cap, 0)
+    return out
 
 
 def set_partitions(n):

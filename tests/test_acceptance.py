@@ -118,12 +118,10 @@ def test_criterion_5_bounded_oracle_agreement():
                     continue
                 out = classify(cfg, s)
                 base = default_base(k)
-                if out.label in ("I", "IIIa", "SingM-a"):
-                    divisor = build_twist(k, cfg.weights, base)
-                    strict = False
-                else:
-                    _, divisor = build_correction(cfg, out, s, base)
-                    strict = True
+                divisor = build_twist(k, cfg.weights, base)
+                strict = out.label not in ("I", "IIIa", "SingM-a")
+                if strict:
+                    _, divisor = build_correction(cfg, out, s, divisor)
                 expected = naive_bounded_checks(cfg, divisor, strict, box=4, cap=6)
                 got = {
                     (c.alpha, c.beta, c.mults, c.value, c.passed)

@@ -308,6 +308,7 @@ def test_config_keys_are_accepted_exactly_where_their_flags_are(capsys, tmp_path
         "verify": ("--types", "1", "--k", "2"),
         "negative-control": ("--types", "1", "--k", "2", "--class", "3,4"),
         "table": (),
+        "matrix": ("--types", "1", "--k", "2"),
         "catalog": (),
         "lp-check": (str(system),),
     }
@@ -328,7 +329,8 @@ def test_config_keys_are_accepted_exactly_where_their_flags_are(capsys, tmp_path
     assert rejected == {(mode, key) for mode, keys in (
         ("verify", {"typ"}),  # flags and keys are spelled in full
         ("negative-control", {"typ"}),
-        ("table", {"jobs", "typ"}),
+        ("table", sweep | {"jobs", "typ"}),
+        ("matrix", {"jobs", "typ"}),
         ("catalog", sweep | {"jobs", "typ"}),
         ("lp-check", sweep | {"jobs", "format", "typ"}),  # it always prints JSON
     ) for key in keys}
@@ -383,18 +385,30 @@ def test_closed_stdout_ends_the_run_quietly(tmp_path):
                 assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"
 
 
-def test_table_matrix_dump(capsys):
-    code, out, _ = run_cli(capsys, "table", "--matrix", "--types", "1", "--k", "2")
+def test_matrix_dump(capsys):
+    code, out, _ = run_cli(capsys, "matrix", "--types", "1", "--k", "2")
     assert code == 0
     assert "(4,4): min" in out and "FAIL" not in out
-    code, out, _ = run_cli(
-        capsys, "table", "--matrix", "--types", "1", "--k", "2", "--format", "json"
-    )
+    code, out, _ = run_cli(capsys, "matrix", "--types", "1", "--k", "2", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["matrices"] and all(
         len(m["cells"]) == 16 for m in payload["matrices"]
     )
+    # the bytes `table --matrix` printed before the dump became its own mode
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7ce0fa665552a69bcc7b66f7afd3ad4bc795020f59851f43da790e0283117614"
+    )
+
+
+def test_matrix_config_file_matches_its_flags(capsys, tmp_path):
+    conf = tmp_path / "matrix.conf"
+    conf.write_text("types = 1\nk = 2\nformat = json\n")
+    code, from_file, err = run_cli(capsys, "matrix", "--config", str(conf))
+    assert code == 0, err
+    code, from_flags, _ = run_cli(capsys, "matrix", "--types", "1", "--k", "2",
+                                  "--format", "json")
+    assert code == 0 and from_file == from_flags
 
 
 def test_table_matrix_builds_no_certificates(capsys, monkeypatch):
@@ -407,7 +421,7 @@ def test_table_matrix_builds_no_certificates(capsys, monkeypatch):
 
     monkeypatch.setattr(engine, "certify_fibres", counted)
     code, out, _ = run_cli(
-        capsys, "table", "--matrix", "--types", "all", "--k", "2..4", "--format", "json"
+        capsys, "matrix", "--types", "all", "--k", "2..4", "--format", "json"
     )
     assert code == 0 and calls == []
     # the output as written when the matrices were read off whole certificates
@@ -552,7 +566,5 @@ def test_r_max_above_k_plus_one_is_capped_per_k(capsys, tmp_path):
     certs = [r for r in records if r["kind"] == "certificate"]
     assert summary["total"] == len(certs)
     assert {len(c["config"]["weights"]) for c in certs} == {1, 2, 3, 4}
-    code, _, err = run_cli(
-        capsys, "table", "--matrix", "--types", "1", "--k", "2..4", "--r-max", "4"
-    )
+    code, _, err = run_cli(capsys, "matrix", "--types", "1", "--k", "2..4", "--r-max", "4")
     assert code == 0, err

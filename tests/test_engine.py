@@ -56,7 +56,7 @@ def test_build_correction_case_iia_example():
     from hyperjet.configurations import Classification, CASE_IIA
 
     cls = Classification(CASE_IIA, heavy_a=0)
-    f, n = build_correction(cfg, cls, surface(1))
+    f, n = build_correction(cfg, cls, surface(1), build_twist(cfg.k, cfg.weights))
     assert n == BlowupClass(DivisorClass(3, 4), (2, 2))
     assert f + n == build_twist(2, (2, 1))
 
@@ -67,7 +67,7 @@ def test_build_correction_case_iv_example():
     from hyperjet.configurations import Classification
 
     cls = Classification(CASE_IV, heavy_b=0)
-    f, n = build_correction(cfg, cls, surface(1))
+    f, n = build_correction(cfg, cls, surface(1), build_twist(cfg.k, cfg.weights))
     assert n == BlowupClass(DivisorClass(4, 3), (2, 2))
     assert f + n == build_twist(2, (2, 1))
 
@@ -79,7 +79,8 @@ def test_build_correction_case_iib_shared_point_gains_one():
     )
     out = classify(cfg, surface(1))
     assert out.label == CASE_IIB
-    f, n = build_correction(cfg, out, surface(1), default_base(3))
+    m = build_twist(3, cfg.weights, default_base(3))
+    f, n = build_correction(cfg, out, surface(1), m)
     assert f + n == build_twist(3, (2, 1, 1))
     # the shared point's residual coefficient drops to k_p - 1
     assert n.exc[out.shared_point] == cfg.weights[out.shared_point] - 1
@@ -92,9 +93,8 @@ def test_build_correction_subtracts_from_the_given_twist():
     )
     out = classify(cfg, surface(1))
     m = build_twist(3, cfg.weights, DivisorClass(7, 6))
-    f, n = build_correction(cfg, out, surface(1), m_class=m)
+    f, n = build_correction(cfg, out, surface(1), m)
     assert f + n == m
-    assert (f, n) == build_correction(cfg, out, surface(1), DivisorClass(7, 6))
 
 
 def test_build_correction_rejects_uncorrected_cases():
@@ -103,7 +103,7 @@ def test_build_correction_rejects_uncorrected_cases():
     out = classify(cfg, surface(1))
     assert out.label == CASE_I
     with pytest.raises(ValueError):
-        build_correction(cfg, out, surface(1))
+        build_correction(cfg, out, surface(1), build_twist(cfg.k, cfg.weights))
 
 
 @pytest.mark.parametrize("k", range(0, 9))
@@ -162,7 +162,7 @@ def test_fibre_chain_case_iia_heavy_block():
         singletons(3),
     )
     out = classify(cfg, surface(1))
-    f, n = build_correction(cfg, out, surface(1))
+    f, n = build_correction(cfg, out, surface(1), build_twist(cfg.k, cfg.weights))
     checks = certify_fibres(n, cfg, surface(1), strict=True, what="N")
     heavy = [c for c in checks if c.block == (0, 1)][0]
     # k+2 - sum of heavy-block weights = 4 - 2 = 2 > 0
@@ -178,7 +178,7 @@ def test_fibre_chain_case_iib_heavy_blocks():
     )
     out = classify(cfg, surface(1))
     assert out.label == CASE_IIB and out.shared_point == 0
-    _, n = build_correction(cfg, out, surface(1))
+    _, n = build_correction(cfg, out, surface(1), build_twist(cfg.k, cfg.weights))
     checks = certify_fibres(n, cfg, surface(1), strict=True, what="N")
     heavy_a = [c for c in checks if c.block == (0, 1)][0]
     # closed form: (k+2) - sum of heavy-block weights = 5 - 3 = 2
@@ -215,7 +215,7 @@ def test_fibre_chain_case_iiib_heavy_b_fibre():
     )
     out = classify(cfg, surface(1))
     assert out.label == CASE_IIIB
-    _, n = build_correction(cfg, out, surface(1))
+    _, n = build_correction(cfg, out, surface(1), build_twist(cfg.k, cfg.weights))
     checks = certify_fibres(n, cfg, surface(1), strict=True, what="N")
     heavy_b = [c for c in checks if c.block == tuple(cfg.b_blocks[out.heavy_b])][0]
     # closed form: (k+2) - weight on the heavy B-fibre
@@ -233,7 +233,7 @@ def test_fibre_chain_case_iv_boundary_value():
     )
     out = classify(cfg, surface(1))
     assert out.label == CASE_IV
-    f, n = build_correction(cfg, out, surface(1))
+    f, n = build_correction(cfg, out, surface(1), build_twist(cfg.k, cfg.weights))
     checks = certify_fibres(n, cfg, surface(1), strict=True, what="N")
     boundary = [c for c in checks if c.block == (1, 2)][0]
     assert boundary.value == 1 and boundary.passed

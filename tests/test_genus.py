@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperjet.genus import (
+from hyperjet.lattice import DivisorClass
+from hyperjet.nonfibre import max_multiplicity
+from oracle_helpers import (
     CurveCandidate,
     enumerate_admissible,
     genus_admissible,
     max_single_multiplicity,
 )
-from hyperjet.lattice import DivisorClass
 
 
 def test_single_multiplicity_examples():
@@ -39,7 +40,8 @@ def test_unit_class_pairs():
     ],
 )
 def test_max_single_multiplicity_table(cls, expected):
-    assert max_single_multiplicity(DivisorClass(*cls)) == expected
+    a, b = cls
+    assert max_multiplicity(2 * a * b) == expected
 
 
 def test_max_single_multiplicity_against_linear_scan():
@@ -47,15 +49,16 @@ def test_max_single_multiplicity_against_linear_scan():
         for b in range(1, 7):
             bound = 2 * a * b
             expected = max(m for m in range(1, 100) if m * (m - 1) <= bound)
+            assert max_multiplicity(bound) == expected
+            # the oracle's own closed form, which the bounded oracle uses
             assert max_single_multiplicity(DivisorClass(a, b)) == expected
+            for cap in range(1, expected + 2):
+                assert max_multiplicity(bound, cap) == min(expected, cap)
 
 
 def test_max_single_multiplicity_monotone_in_product():
-    values = []
-    for ab in range(1, 30):
-        divisors = [(a, ab // a) for a in range(1, ab + 1) if ab % a == 0]
-        a, b = divisors[0]
-        values.append(max_single_multiplicity(DivisorClass(a, b)))
+    # the bound depends on the class only through alpha*beta
+    values = [max_multiplicity(2 * ab) for ab in range(1, 30)]
     assert values == sorted(values)
 
 

@@ -17,10 +17,10 @@ from hyperjet.engine import (
     iter_certificates,
     verify,
 )
-from hyperjet.genus import CurveCandidate
 from hyperjet.lattice import BlowupClass, DivisorClass
 from hyperjet.surfaces import SINGULAR_A, surface
 from oracle_helpers import (
+    CurveCandidate,
     check_bounded,
     naive_bounded_checks,
     point_offsets,
@@ -79,10 +79,9 @@ def test_target_matches_engine_divisor():
     for cfg in (CASE_I_CFG, CASE_IIA_CFG, CASE_IIB_CFG, CASE_IV_CFG):
         out = classify(cfg, s)
         base = default_base(cfg.k)
-        if out.label == CASE_I:
-            divisor = build_twist(cfg.k, cfg.weights, base)
-        else:
-            _, divisor = build_correction(cfg, out, s, base)
+        divisor = build_twist(cfg.k, cfg.weights, base)
+        if out.label != CASE_I:
+            _, divisor = build_correction(cfg, out, s, divisor)
         offsets, corr = point_offsets(cfg, out, s)
         rebuilt = BlowupClass(
             base - corr, tuple(k + c for k, c in zip(cfg.weights, offsets))
@@ -103,12 +102,10 @@ def test_check_bounded_matches_naive_oracle(cfg):
     s = surface(1)
     out = classify(cfg, s)
     base = default_base(cfg.k)
-    if out.label == CASE_I:
-        divisor = build_twist(cfg.k, cfg.weights, base)
-        strict = False
-    else:
-        _, divisor = build_correction(cfg, out, s, base)
-        strict = True
+    divisor = build_twist(cfg.k, cfg.weights, base)
+    strict = out.label != CASE_I
+    if strict:
+        _, divisor = build_correction(cfg, out, s, divisor)
     expected = naive_bounded_checks(cfg, divisor, strict)
     got = {
         (c.alpha, c.beta, c.mults, c.value, c.passed)

@@ -1,0 +1,54 @@
+"""The package's public surface: README's Library section, and no uncalled code."""
+
+import ast
+import re
+from pathlib import Path
+
+import hyperjet
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hyperjet"
+
+
+def test_readme_library_section_is_the_exported_api():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n")[1].split("\n## ")[0]
+    code = section.split("```python\n")[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    # the names the example imports, and every backticked name or call
+    imported = re.search(r"^from hyperjet import (.+)$", code, re.M).group(1)
+    documented = {name.strip() for name in imported.split(",")}
+    documented |= set(re.findall(r"`([A-Za-z_]\w*)[(`]", section))
+    assert set(hyperjet.__all__) == documented
+    namespace = {}
+    exec("from hyperjet import *", namespace)  # fails on a name that does not resolve
+    assert set(hyperjet.__all__) <= namespace.keys()
+
+
+def test_every_module_level_definition_is_called_or_exported():
+    """Each function and class of src/hyperjet is named outside its own body.
+
+    A name counts where it appears in another definition or in module-level
+    code of any module but `__init__.py`; an exported name needs no caller.
+    """
+    definitions = set()  # (module, name)
+    references = set()  # (name, (module, enclosing top-level definition or None))
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = top.name
+                definitions.add((path.stem, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    references.add((node.id, (path.stem, owner)))
+                elif isinstance(node, ast.Attribute):
+                    references.add((node.attr, (path.stem, owner)))
+    uncalled = {
+        (module, name) for module, name in definitions
+        if name not in hyperjet.__all__
+        and not any(ref == name and where != (module, name) for ref, where in references)
+    }
+    assert uncalled == set()

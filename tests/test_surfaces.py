@@ -8,11 +8,20 @@ from hyperjet.surfaces import (
     B_FIBRE,
     FULL_A,
     SINGULAR_A,
+    SurfaceType,
     catalog,
     fibre_classes,
-    is_vertical_effective,
     surface,
 )
+
+
+def is_vertical_effective(s: SurfaceType, b: int) -> bool:
+    """Whether the vertical class (0, b) is effective.
+
+    (0, b) = b*(mu/gamma)*B is effective iff b*(mu/gamma) is a non-negative
+    integer, i.e. b >= 0 and gamma divides b*mu.
+    """
+    return b >= 0 and (b * s.mu) % s.gamma == 0
 
 
 def test_catalog_has_seven_types_in_order():
