@@ -47,11 +47,6 @@ CASE_IV = "IV"
 SING_M_A = "SingM-a"
 SING_M_B = "SingM-b"
 
-# Labels proved via Kawamata-Viehweg (M nef and big); the rest go through
-# Norimatsu (N = M - F ample, F an SNC correction).
-KAWAMATA_VIEHWEG_LABELS = frozenset({R1, CASE_I, CASE_IIIA, SING_M_A})
-NORIMATSU_LABELS = frozenset({CASE_IIA, CASE_IIB, CASE_IIIB, CASE_IV, SING_M_B})
-
 
 @dataclass(frozen=True, slots=True)
 class ABlock:
@@ -432,7 +427,7 @@ def skeleton_count(k: int, r_max: int) -> int:
 
 
 def enumerate_configurations(
-    k: int, s: SurfaceType, r_max: int | None = None, part: slice | None = None
+    k: int, s: SurfaceType, part: slice | None = None
 ) -> Iterator[JetConfiguration]:
     """All configurations for k on surface type s, in deterministic order.
 
@@ -445,24 +440,19 @@ def enumerate_configurations(
     configurations are built once per k and shared by every type.
 
     `part`, a slice of k's skeleton table, restricts the enumeration to the
-    configurations of those entries; consecutive slices of the first
-    `skeleton_count(k, r_max)` entries enumerate the whole scope in order.
+    configurations of those entries; the first `skeleton_count(k, r_max)`
+    entries are those of at most r_max points, and consecutive slices of
+    them enumerate that scope in order.
     """
     if k < 2:
         raise ValueError(
             "enumeration requires k >= 2 (k = 1 is certified externally)"
         )
-    if r_max is None:
-        r_max = k + 1
-    if not 1 <= r_max <= k + 1:
-        raise ValueError(f"r_max must be in 1..{k + 1}")
 
     variants = [(INTERMEDIATE_A, m) for m in s.intermediate_fibre_coeffs]
     variants.append((FULL_A, s.mu))
     table = _skeletons(k)
     for cfg, heavy in table if part is None else table[part]:
-        if cfg.r > r_max:
-            return
         yield cfg
         if heavy is not None:
             blocks = cfg.a_blocks

@@ -27,13 +27,7 @@ from typing import Iterator
 from . import nonfibre
 from .configurations import (
     ABlock,
-    CASE_IIA,
-    CASE_IIB,
-    CASE_IIIB,
-    CASE_IV,
-    NORIMATSU_LABELS,
     R1,
-    SING_M_B,
     Classification,
     JetConfiguration,
     classify,
@@ -146,26 +140,33 @@ def build_twist(
     return BlowupClass(base, tuple(w + 1 for w in weights))
 
 
+def _corrected(cfg: JetConfiguration, cls: Classification) -> tuple[bool, bool]:
+    """Which heavy fibres the case subtracts, (A, B).
+
+    The heavy A-fibre when it is the minimal (singular) one, and the heavy
+    B-fibre whenever there is one.
+    """
+    a = cls.heavy_a is not None and cfg.a_blocks[cls.heavy_a].kind == SINGULAR_A
+    return a, cls.heavy_b is not None
+
+
 def build_correction(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType, m_class: BlowupClass
 ) -> tuple[BlowupClass, BlowupClass]:
-    """The SNC correction F (strict transforms of the heavy fibres) and N = M - F."""
-    if cls.label not in NORIMATSU_LABELS:
+    """The SNC correction F (strict transforms of the corrected fibres) and N = M - F."""
+    corr_a, corr_b = _corrected(cfg, cls)
+    if not (corr_a or corr_b):
         raise ValueError(f"case {cls.label} uses no correction divisor")
-    fa, fb = DivisorClass(0, 0), DivisorClass(0, 0)
-    exc = [0] * cfg.r
-    if cls.label in (CASE_IIA, CASE_IIB):
-        ab = cfg.a_blocks[cls.heavy_a]
-        fa = DivisorClass(ab.fibre_coeff, 0)
-        for p in ab.points:
-            exc[p] += 1
-    if cls.label in (CASE_IIB, CASE_IIIB, SING_M_B, CASE_IV):
-        fb = DivisorClass(0, s.b_fibre_coeff)
-        for p in cfg.b_blocks[cls.heavy_b]:
-            exc[p] += 1
-    f_class = BlowupClass(fa + fb, tuple(exc))
-    n_class = m_class - f_class
-    return f_class, n_class
+    fibre, blocks = DivisorClass(0, 0), []
+    if corr_a:
+        fibre += DivisorClass(cfg.a_blocks[cls.heavy_a].fibre_coeff, 0)
+        blocks.append(cfg.a_blocks[cls.heavy_a].points)
+    if corr_b:
+        fibre += DivisorClass(0, s.b_fibre_coeff)
+        blocks.append(cfg.b_blocks[cls.heavy_b])
+    exc = tuple(sum(p in block for block in blocks) for p in range(cfg.r))
+    f_class = BlowupClass(fibre, exc)
+    return f_class, m_class - f_class
 
 
 def certify_square(cls_: BlowupClass, strict: bool, what: str) -> CheckRecord:
@@ -297,9 +298,9 @@ def externally_certified_k1(s: SurfaceType) -> dict:
 def twisted_classes(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
 ) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None]:
-    """M, and F and N = M - F for the Norimatsu labels (None otherwise)."""
+    """M, and F and N = M - F when the case corrects a fibre (None otherwise)."""
     m_class = build_twist(cfg.k, cfg.weights, base)
-    if cls.label not in NORIMATSU_LABELS:
+    if not any(_corrected(cfg, cls)):
         return m_class, None, None
     return (m_class, *build_correction(cfg, cls, s, m_class))
 

@@ -33,22 +33,12 @@ from functools import lru_cache
 from math import isqrt
 
 from . import lp
-from .configurations import (
-    CASE_I,
-    CASE_IIA,
-    CASE_IIB,
-    CASE_IIIA,
-    CASE_IIIB,
-    CASE_IV,
-    NORIMATSU_LABELS,
-    SING_M_A,
-    SING_M_B,
-    Classification,
-)
+from .configurations import Classification
 from .lattice import (
     BlowupClass,
     DivisorClass,
     blowup_intersect,
+    h0_ample,
     intersect,
     interpolating_divisor_exists,
     jet_condition_count,
@@ -136,15 +126,15 @@ def bounded_cells(
 ) -> tuple[BoundedCellCheck, ...]:
     """Extremal bounded checks for sorted coefficient multiset `coefs`."""
     maxima, witnesses = _assignment_maxima(coefs)
+    reduced = base - corr
+    twisted = BlowupClass(reduced, coefs)
     cells = []
     for alpha in range(1, BOUNDED_MAX + 1):
         for beta in range(1, BOUNDED_MAX + 1):
             budget = 2 * alpha * beta
-            const = intersect(base - corr, DivisorClass(alpha, beta))
-            value = const - maxima[budget]
+            value = intersect(reduced, DivisorClass(alpha, beta)) - maxima[budget]
             witness = witnesses[budget]
             # cross-check the binding assignment through the blow-up pairing
-            twisted = BlowupClass(base - corr, coefs)
             transform = BlowupClass(DivisorClass(alpha, beta), witness)
             if blowup_intersect(twisted, transform) != value:
                 raise AssertionError("extremal bounded check failed cross-check")
@@ -305,12 +295,13 @@ def survivor_chain_fact() -> ImplicationCheck:
 
 
 def interpolation_facts() -> tuple[ImplicationCheck, ...]:
-    """Existence of the auxiliary divisors in |(4,4)| by dimension count."""
+    """Existence of the auxiliary divisors in |AUX_CLASS| by dimension count."""
     specs = (
-        ("interp-single", (5,), "multiplicity 5 at one point (16 > 15)"),
-        ("interp-pair", (4, 2), "multiplicities 4,2 at two points (16 > 13)"),
-        ("interp-triple", (3, 3, 2), "multiplicities 3,3,2 at three points (16 > 15)"),
+        ("interp-single", (5,), "multiplicity 5 at one point"),
+        ("interp-pair", (4, 2), "multiplicities 4,2 at two points"),
+        ("interp-triple", (3, 3, 2), "multiplicities 3,3,2 at three points"),
     )
+    h0 = h0_ample(AUX_CLASS)
     out = []
     for name, orders, desc in specs:
         ok = interpolating_divisor_exists(AUX_CLASS, orders)
@@ -318,62 +309,57 @@ def interpolation_facts() -> tuple[ImplicationCheck, ...]:
         out.append(
             ImplicationCheck(
                 name,
-                desc,
+                f"{desc} ({h0} > {conditions})",
                 None,
                 "valid" if ok else "failed",
-                {"h0": 16, "conditions": conditions},
+                {"h0": h0, "conditions": conditions},
                 ok,
             )
         )
     return tuple(out)
 
 
-# Facts each label relies on, and the survivor-pattern branches they cover.
-# "off-fibre survivors" counts points of multiplicity >= 4 whose coefficient
-# offset is +1; points on corrected fibres only ever need point-bound.
-_LABEL_FACTS = {
-    CASE_I: ("drop-rule", "point-bound", "single-survivor", "pair-symmetric"),
-    CASE_IIIA: ("drop-rule", "point-bound", "single-survivor", "pair-symmetric"),
-    SING_M_A: ("drop-rule", "point-bound", "single-survivor", "pair-symmetric"),
-    CASE_IIA: ("drop-rule", "point-bound", "pair-with-helper", "triple-restore"),
-    CASE_IIIB: ("drop-rule", "point-bound", "pair-with-helper", "triple-restore"),
-    CASE_IV: ("drop-rule", "point-bound", "pair-with-helper", "triple-restore"),
-    SING_M_B: ("drop-rule", "point-bound", "pair-with-helper", "triple-restore"),
-    CASE_IIB: (
-        "drop-rule",
-        "point-bound",
-        "single-survivor-strict",
-        "pair-strict",
-        "shared-point-strict",
+# Per regime, keyed by which heavy fibres are corrected (A, B): the battery
+# facts it relies on, the survivor-pattern branches they cover, and the bonus
+# premise that makes an ample bound strict.  "off-fibre survivors" counts
+# points of multiplicity >= 4 whose coefficient offset is +1; points on
+# corrected fibres only ever need point-bound.
+_NEF_FACTS = ("drop-rule", "point-bound", "single-survivor", "pair-symmetric")
+_AMPLE_FACTS = ("drop-rule", "point-bound", "pair-with-helper", "triple-restore")
+_SHARED_FACTS = (
+    "drop-rule", "point-bound", "single-survivor-strict", "pair-strict", "shared-point-strict"
+)
+_NEF_BRANCHES = (
+    ("0 large points", ("drop-rule",)),
+    ("1 large point", ("single-survivor", "drop-rule")),
+    ("2 large points", ("pair-symmetric", "drop-rule")),
+    ("3+ large points", ("survivor-chain", "drop-rule")),
+)
+_AMPLE_BRANCHES = (
+    ("0 large points off the corrected fibre", ("drop-rule", "point-bound")),
+    ("1 large point off the corrected fibre", ("pair-with-helper", "drop-rule", "point-bound")),
+    ("2 large points off the corrected fibre", ("triple-restore", "drop-rule", "point-bound")),
+    ("3+ large points", ("survivor-chain", "drop-rule", "point-bound")),
+)
+_SHARED_BRANCHES = (
+    ("0 large points off the corrected fibres", ("shared-point-strict", "drop-rule", "point-bound")),
+    ("1 large point off the corrected fibres", ("single-survivor-strict", "drop-rule", "point-bound")),
+    ("2 large points off the corrected fibres", ("pair-strict", "drop-rule", "point-bound")),
+    ("3+ large points", ("survivor-chain", "drop-rule", "point-bound")),
+)
+_REGIMES = {
+    (False, False): (_NEF_FACTS, _NEF_BRANCHES, None),
+    (True, False): (
+        _AMPLE_FACTS,
+        _AMPLE_BRANCHES,
+        ("bonus-alpha", "alpha >= 1 makes the assembled bound strict"),
     ),
-}
-
-_LABEL_BONUS = {
-    CASE_IIA: ("bonus-alpha", "alpha >= 1 makes the assembled bound strict"),
-    CASE_IIIB: ("bonus-beta", "beta >= 1 makes the assembled bound strict"),
-    CASE_IV: ("bonus-beta", "beta >= 1 makes the assembled bound strict"),
-    SING_M_B: ("bonus-beta", "beta >= 1 makes the assembled bound strict"),
-}
-
-_BRANCHES = {
-    "nef": (
-        ("0 large points", ("drop-rule",)),
-        ("1 large point", ("single-survivor", "drop-rule")),
-        ("2 large points", ("pair-symmetric", "drop-rule")),
-        ("3+ large points", ("survivor-chain", "drop-rule")),
+    (False, True): (
+        _AMPLE_FACTS,
+        _AMPLE_BRANCHES,
+        ("bonus-beta", "beta >= 1 makes the assembled bound strict"),
     ),
-    "ample": (
-        ("0 large points off the corrected fibre", ("drop-rule", "point-bound")),
-        ("1 large point off the corrected fibre", ("pair-with-helper", "drop-rule", "point-bound")),
-        ("2 large points off the corrected fibre", ("triple-restore", "drop-rule", "point-bound")),
-        ("3+ large points", ("survivor-chain", "drop-rule", "point-bound")),
-    ),
-    "ample-shared": (
-        ("0 large points off the corrected fibres", ("shared-point-strict", "drop-rule", "point-bound")),
-        ("1 large point off the corrected fibres", ("single-survivor-strict", "drop-rule", "point-bound")),
-        ("2 large points off the corrected fibres", ("pair-strict", "drop-rule", "point-bound")),
-        ("3+ large points", ("survivor-chain", "drop-rule", "point-bound")),
-    ),
+    (True, True): (_SHARED_FACTS, _SHARED_BRANCHES, None),
 }
 
 
@@ -403,15 +389,19 @@ def _arith_fact(name: str, description: str, values: dict, ok: bool) -> Implicat
 
 @lru_cache(maxsize=None)
 def check_unbounded(
-    label: str, k: int, base: DivisorClass, shared_exists: bool
+    corrected: tuple[bool, bool], k: int, base: DivisorClass, shared_exists: bool
 ) -> UnboundedReport:
-    """Assemble the unbounded-regime evidence for one case label.
+    """Assemble the unbounded-regime evidence for one set of corrected fibres.
 
-    Memoized: every report of a label, k, base and shared point holds the
-    same object.
+    `corrected` says whether the heavy A-fibre and the heavy B-fibre are
+    subtracted (A, B); it picks the battery facts, the bonus premise and the
+    branches.  When both are, the shared-point premise checks
+    `shared_exists`.  Memoized: every report with the same corrected fibres,
+    k, base and shared point holds the same object.
     """
+    fact_names, branches, bonus = _REGIMES[corrected]
     battery = implication_battery()
-    facts = [battery[name] for name in _LABEL_FACTS[label]]
+    facts = [battery[name] for name in fact_names]
     facts.append(survivor_chain_fact())
     facts.extend(interpolation_facts())
 
@@ -431,10 +421,9 @@ def check_unbounded(
             base.a >= k + 2 and base.b >= k + 2,
         ),
     ]
-    if label in _LABEL_BONUS:
-        name, desc = _LABEL_BONUS[label]
-        premises.append(_arith_fact(name, desc, {"lower_bound": 1}, True))
-    if label == CASE_IIB:
+    if bonus is not None:
+        premises.append(_arith_fact(*bonus, {"lower_bound": 1}, True))
+    if all(corrected):
         premises.append(
             _arith_fact(
                 "shared-point-exists",
@@ -443,13 +432,6 @@ def check_unbounded(
                 shared_exists,
             )
         )
-
-    if label in (CASE_I, CASE_IIIA, SING_M_A):
-        branches = _BRANCHES["nef"]
-    elif label == CASE_IIB:
-        branches = _BRANCHES["ample-shared"]
-    else:
-        branches = _BRANCHES["ample"]
 
     passed = all(f.passed for f in facts) and all(p.passed for p in premises)
     return UnboundedReport(tuple(facts), tuple(premises), branches, passed)
@@ -487,11 +469,11 @@ def _report_for_key(
     k: int,
     shared_exists: bool,
 ) -> NonFibreReport:
-    strict = label in NORIMATSU_LABELS
     base = DivisorClass(*base_pair)
     corr = DivisorClass(*corr_pair)
-    bounded = bounded_cells(coefs, corr, base, strict)
-    unbounded = check_unbounded(label, k, base, shared_exists)
+    corrected = (corr.a > 0, corr.b > 0)
+    bounded = bounded_cells(coefs, corr, base, any(corrected))
+    unbounded = check_unbounded(corrected, k, base, shared_exists)
     passed = all(c.passed for c in bounded) and unbounded.passed
     key = f"{label}|{','.join(map(str, coefs))}|corr{corr_pair}|base{base_pair}|k{k}"
     return NonFibreReport(key, label, bounded, unbounded, passed)

@@ -24,7 +24,6 @@ from hyperjet.configurations import (
     CASE_IIIA,
     CASE_IIIB,
     CASE_IV,
-    NORIMATSU_LABELS,
     SING_M_A,
     SING_M_B,
     Classification,
@@ -352,7 +351,7 @@ def check_bounded(
     assignment of multiplicities to the labeled points, evaluates the target
     directly.  No reduction lemmas are involved.
     """
-    strict = cls.label in NORIMATSU_LABELS
+    strict = cls.label in (CASE_IIA, CASE_IIB, CASE_IIIB, CASE_IV, SING_M_B)
     out: list[BoundedCheck] = []
     for alpha in range(1, BOUNDED_MAX + 1):
         for beta in range(1, BOUNDED_MAX + 1):

@@ -162,8 +162,8 @@ def test_criterion_6_lp_oracle_agreement():
     # (a) every implication instance generated for k in 2..8, against the box
     systems: dict[str, lp.LinearSystem] = {}
     for k in K_RANGE:
-        for label in ("I", "IIa", "IIb", "IIIa", "IIIb", "IV", "SingM-a", "SingM-b"):
-            report = nonfibre.check_unbounded(label, k, default_base(k), True)
+        for corrected in product((False, True), repeat=2):
+            report = nonfibre.check_unbounded(corrected, k, default_base(k), True)
             assert report.passed
             for fact in report.facts:
                 if fact.system is not None:

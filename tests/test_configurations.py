@@ -17,6 +17,7 @@ from hyperjet.configurations import (
     classify,
     enumerate_configurations,
     incidence_structures,
+    skeleton_count,
     weight_partitions,
 )
 from hyperjet.surfaces import FULL_A, INTERMEDIATE_A, SINGULAR_A, catalog, surface
@@ -83,7 +84,8 @@ def test_enumeration_matches_the_per_type_loop(k):
 def test_point_cap_matches_the_per_type_loop():
     for s in catalog():
         for r_max in range(1, 6):
-            assert list(enumerate_configurations(4, s, r_max)) == list(
+            part = slice(0, skeleton_count(4, r_max))
+            assert list(enumerate_configurations(4, s, part)) == list(
                 per_type_configurations(4, s, r_max)
             ), (s.type_id, r_max)
 
@@ -285,7 +287,5 @@ def test_heavy_kind_options_per_type():
 
 
 def test_r_max_cap():
-    cfgs = list(enumerate_configurations(4, surface(1), r_max=2))
+    cfgs = list(enumerate_configurations(4, surface(1), slice(0, skeleton_count(4, 2))))
     assert {c.r for c in cfgs} == {1, 2}
-    with pytest.raises(ValueError):
-        list(enumerate_configurations(2, surface(1), r_max=7))

@@ -5,7 +5,6 @@ from hyperjet.configurations import (
     CASE_I,
     CASE_IIB,
     CASE_IV,
-    KAWAMATA_VIEHWEG_LABELS,
     JetConfiguration,
     classify,
     weight_partitions,
@@ -304,7 +303,8 @@ def test_verify_pipeline_type1_k2_all_pass():
         assert cert.passed, cert.to_json()
         if cert.f_class is not None:
             assert cert.n_class + cert.f_class == cert.m_class
-        tag = KAWAMATA_VIEHWEG if cert.label in KAWAMATA_VIEHWEG_LABELS else NORIMATSU
+        nef = cert.label in ("R1", "I", "IIIa", "SingM-a")
+        tag = KAWAMATA_VIEHWEG if nef else NORIMATSU
         assert cert.vanishing_theorem == tag
 
 

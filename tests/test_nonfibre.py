@@ -4,9 +4,6 @@ from hyperjet import lp, nonfibre
 from hyperjet.configurations import (
     ABlock,
     CASE_I,
-    CASE_IIA,
-    CASE_IIB,
-    CASE_IV,
     JetConfiguration,
     classify,
 )
@@ -175,30 +172,79 @@ def test_survivor_chain_fact():
     assert fact.witness_json["p(3)"] == 12
 
 
-def test_interpolation_facts():
+def test_interpolation_facts(monkeypatch):
     facts = {f.name: f for f in nonfibre.interpolation_facts()}
     assert facts["interp-single"].witness_json == {"h0": 16, "conditions": 15}
     assert facts["interp-pair"].witness_json == {"h0": 16, "conditions": 13}
     assert facts["interp-triple"].witness_json == {"h0": 16, "conditions": 15}
     assert all(f.passed for f in facts.values())
+    # h0 is computed from the auxiliary class, not recorded as a literal
+    monkeypatch.setattr(nonfibre, "AUX_CLASS", DivisorClass(5, 5))
+    facts = {f.name: f for f in nonfibre.interpolation_facts()}
+    assert facts["interp-single"].witness_json == {"h0": 25, "conditions": 15}
+
+
+# Each label's unbounded regime, from the paper's case list: the battery facts
+# it uses, the premises beyond the regime split and base margin, and the
+# survivor patterns of its branches.
+_NEF = (
+    ("drop-rule", "point-bound", "single-survivor", "pair-symmetric"),
+    (),
+    ("0 large points", "1 large point", "2 large points", "3+ large points"),
+)
+_AMPLE_FACTS = ("drop-rule", "point-bound", "pair-with-helper", "triple-restore")
+_AMPLE_PATTERNS = (
+    "0 large points off the corrected fibre",
+    "1 large point off the corrected fibre",
+    "2 large points off the corrected fibre",
+    "3+ large points",
+)
+UNBOUNDED_REGIMES = {
+    "I": _NEF,
+    "IIIa": _NEF,
+    "SingM-a": _NEF,
+    "IIa": (_AMPLE_FACTS, ("bonus-alpha",), _AMPLE_PATTERNS),
+    "IIIb": (_AMPLE_FACTS, ("bonus-beta",), _AMPLE_PATTERNS),
+    "IV": (_AMPLE_FACTS, ("bonus-beta",), _AMPLE_PATTERNS),
+    "SingM-b": (_AMPLE_FACTS, ("bonus-beta",), _AMPLE_PATTERNS),
+    "IIb": (
+        ("drop-rule", "point-bound", "single-survivor-strict", "pair-strict",
+         "shared-point-strict"),
+        ("shared-point-exists",),
+        (
+            "0 large points off the corrected fibres",
+            "1 large point off the corrected fibres",
+            "2 large points off the corrected fibres",
+            "3+ large points",
+        ),
+    ),
+}
 
 
 def test_unbounded_report_per_label():
-    for label, cfg in ((CASE_I, CASE_I_CFG), (CASE_IIA, CASE_IIA_CFG),
-                       (CASE_IIB, CASE_IIB_CFG), (CASE_IV, CASE_IV_CFG)):
-        s = surface(1)
-        out = classify(cfg, s)
-        assert out.label == label
-        rep = nonfibre.check_unbounded(label, cfg.k, default_base(cfg.k),
-                                       out.shared_point is not None)
-        assert rep.passed
-        assert any(p.name == "base-margin" for p in rep.premises)
-    iib = nonfibre.check_unbounded(CASE_IIB, 3, default_base(3), True)
-    assert any(p.name == "shared-point-exists" for p in iib.premises)
+    seen = set()
+    for type_id in (1, 3, 7):
+        for k in range(2, 5):
+            for cert in iter_certificates(surface(type_id), k):
+                if cert.nonfibre_report is None:
+                    continue
+                facts, premises, patterns = UNBOUNDED_REGIMES[cert.label]
+                rep = cert.nonfibre_report.unbounded
+                assert rep.passed, (type_id, k, cert.label)
+                assert tuple(f.name for f in rep.facts) == (
+                    *facts, "survivor-chain", "interp-single", "interp-pair",
+                    "interp-triple",
+                ), cert.label
+                assert tuple(p.name for p in rep.premises) == (
+                    "regime-split", "base-margin", *premises,
+                ), cert.label
+                assert tuple(name for name, _ in rep.branches) == patterns, cert.label
+                seen.add(cert.label)
+    assert seen == set(UNBOUNDED_REGIMES)
 
 
 def test_unbounded_margin_fails_for_deficient_base():
-    rep = nonfibre.check_unbounded(CASE_I, 2, DivisorClass(3, 4), False)
+    rep = nonfibre.check_unbounded((False, False), 2, DivisorClass(3, 4), False)
     assert not rep.passed
     margin = [p for p in rep.premises if p.name == "base-margin"][0]
     assert not margin.passed
