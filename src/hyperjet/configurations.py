@@ -427,7 +427,7 @@ def skeleton_count(k: int, r_max: int) -> int:
 
 
 def enumerate_configurations(
-    k: int, s: SurfaceType, part: slice | None = None
+    k: int, s: SurfaceType, *, part: slice | None = None
 ) -> Iterator[JetConfiguration]:
     """All configurations for k on surface type s, in deterministic order.
 

@@ -140,32 +140,28 @@ def build_twist(
     return BlowupClass(base, tuple(w + 1 for w in weights))
 
 
-def _corrected(cfg: JetConfiguration, cls: Classification) -> tuple[bool, bool]:
-    """Which heavy fibres the case subtracts, (A, B).
-
-    The heavy A-fibre when it is the minimal (singular) one, and the heavy
-    B-fibre whenever there is one.
-    """
-    a = cls.heavy_a is not None and cfg.a_blocks[cls.heavy_a].kind == SINGULAR_A
-    return a, cls.heavy_b is not None
-
-
 def build_correction(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType, m_class: BlowupClass
 ) -> tuple[BlowupClass, BlowupClass]:
-    """The SNC correction F (strict transforms of the corrected fibres) and N = M - F."""
-    corr_a, corr_b = _corrected(cfg, cls)
-    if not (corr_a or corr_b):
+    """The SNC correction F (strict transforms of the corrected fibres) and N = M - F.
+
+    The heavy A-fibre is corrected when it is the minimal (singular) one, and
+    the heavy B-fibre whenever there is one; a case with neither has no F.
+    """
+    corr_a = cls.heavy_a is not None and cfg.a_blocks[cls.heavy_a].kind == SINGULAR_A
+    if not corr_a and cls.heavy_b is None:
         raise ValueError(f"case {cls.label} uses no correction divisor")
-    fibre, blocks = DivisorClass(0, 0), []
+    fibre, exc = DivisorClass(0, 0), [0] * cfg.r
     if corr_a:
-        fibre += DivisorClass(cfg.a_blocks[cls.heavy_a].fibre_coeff, 0)
-        blocks.append(cfg.a_blocks[cls.heavy_a].points)
-    if corr_b:
+        ab = cfg.a_blocks[cls.heavy_a]
+        fibre += DivisorClass(ab.fibre_coeff, 0)
+        for p in ab.points:
+            exc[p] += 1
+    if cls.heavy_b is not None:
         fibre += DivisorClass(0, s.b_fibre_coeff)
-        blocks.append(cfg.b_blocks[cls.heavy_b])
-    exc = tuple(sum(p in block for block in blocks) for p in range(cfg.r))
-    f_class = BlowupClass(fibre, exc)
+        for p in cfg.b_blocks[cls.heavy_b]:
+            exc[p] += 1
+    f_class = BlowupClass(fibre, tuple(exc))
     return f_class, m_class - f_class
 
 
@@ -300,9 +296,10 @@ def twisted_classes(
 ) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None]:
     """M, and F and N = M - F when the case corrects a fibre (None otherwise)."""
     m_class = build_twist(cfg.k, cfg.weights, base)
-    if not any(_corrected(cfg, cls)):
+    try:
+        return (m_class, *build_correction(cfg, cls, s, m_class))
+    except ValueError:  # the case corrects no fibre
         return m_class, None, None
-    return (m_class, *build_correction(cfg, cls, s, m_class))
 
 
 def verify(

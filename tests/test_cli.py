@@ -547,9 +547,9 @@ def test_shards_concatenate_to_the_whole_enumeration():
             shards = cli._tasks(cfg, False)
             sizes = [t.part.stop - t.part.start for t in shards]
             assert all(0 < n <= cli.SHARD_SKELETONS for n in sizes), (r_max, sizes)
-            sharded = [c for t in shards for c in enumerate_configurations(5, s, t.part)]
+            sharded = [c for t in shards for c in enumerate_configurations(5, s, part=t.part)]
             whole = slice(0, skeleton_count(5, r_max))
-            assert sharded == list(enumerate_configurations(5, s, whole)), r_max
+            assert sharded == list(enumerate_configurations(5, s, part=whole)), r_max
         assert len(shards) == 3
 
 

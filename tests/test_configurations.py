@@ -85,7 +85,7 @@ def test_point_cap_matches_the_per_type_loop():
     for s in catalog():
         for r_max in range(1, 6):
             part = slice(0, skeleton_count(4, r_max))
-            assert list(enumerate_configurations(4, s, part)) == list(
+            assert list(enumerate_configurations(4, s, part=part)) == list(
                 per_type_configurations(4, s, r_max)
             ), (s.type_id, r_max)
 
@@ -287,5 +287,8 @@ def test_heavy_kind_options_per_type():
 
 
 def test_r_max_cap():
-    cfgs = list(enumerate_configurations(4, surface(1), slice(0, skeleton_count(4, 2))))
+    cfgs = list(enumerate_configurations(4, surface(1), part=slice(0, skeleton_count(4, 2))))
     assert {c.r for c in cfgs} == {1, 2}
+    # the removed r_max is not silently read as a part
+    with pytest.raises(TypeError):
+        enumerate_configurations(4, surface(1), 2)
