@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 from . import configurations, engine, lp, nonfibre, tables
 from .configurations import JetConfiguration
@@ -264,13 +264,16 @@ def _report_line(report: nonfibre.NonFibreReport) -> str:
 Part = str | tuple[str, str]
 
 
-def _task(task: Task, tally: dict[str, list[int]]) -> Iterator[Part]:
-    """Count each certificate into `tally`, a [count, failed] per label; yield its text.
+def _task_certs(task: Task) -> tuple[dict[str, list[int]], list[Part]]:
+    """A task's tally, a [count, failed] per label, and its bundle text.
 
     Text is made only for a bundle.  A report comes as (key, line), before
     the certificate line that uses it, the first time this process uses it
-    in the run; every line ends in a newline.
+    in the run; every line ends in a newline.  Tasks run in order in each
+    process, so the first task to use a report always carries its line.
     """
+    tally: dict[str, list[int]] = {}
+    parts: list[Part] = []
     for cert in engine.iter_certificates(*_scope(task)):
         counts = tally.get(cert.label)
         if counts is None:
@@ -282,19 +285,9 @@ def _task(task: Task, tally: dict[str, list[int]]) -> Iterator[Part]:
         report = cert.nonfibre_report
         if report and report.key not in _sent:
             _sent.add(report.key)
-            yield report.key, _report_line(report)
-        yield _certificate_line(cert)
-
-
-def _task_certs(task: Task) -> tuple[dict[str, list[int]], list[Part]]:
-    """A pool task's result: its tally and its bundle text.
-
-    The pool hands tasks out in order, so the parent writes this worker's
-    earlier tasks first, and the first task to use a report always carries
-    its line.
-    """
-    tally: dict[str, list[int]] = {}
-    return tally, list(_task(task, tally))
+            parts.append((report.key, _report_line(report)))
+        parts.append(_certificate_line(cert))
+    return tally, parts
 
 
 def Pool(processes: int):
@@ -306,20 +299,17 @@ def Pool(processes: int):
 
 def _iter_sweep(
     cfg: RunConfig, lines: bool
-) -> Iterator[tuple[dict[str, list[int]], Iterable[Part]]]:
-    """(tally, bundle text) per task, in order; a tally is complete once its text is drawn.
+) -> Iterator[tuple[dict[str, list[int]], list[Part]]]:
+    """(tally, bundle text) per task, in order, from `_task_certs`.
 
-    Serially each task streams its text as it is made; with `--jobs`,
-    workers return it whole.
+    A serial run maps it over the tasks; with `--jobs`, a pool `imap`s it.
     """
     _sent.clear()
     _fragments.clear()
     tasks = _tasks(cfg, lines)
     jobs = min(cfg.jobs, len(tasks))
     if jobs <= 1:
-        for task in tasks:
-            tally: dict[str, list[int]] = {}
-            yield tally, _task(task, tally)
+        yield from map(_task_certs, tasks)
     else:
         with Pool(jobs) as pool:
             yield from pool.imap(_task_certs, tasks)
@@ -348,7 +338,7 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None) -> engine.SweepSummary:
             elif part[0] not in seen_reports:
                 seen_reports.add(part[0])
                 stream.write(part[1])
-        summary.merge(tally)  # complete once the parts are drawn
+        summary.merge(tally)
         if stream:
             stream.flush()
         del tally, parts  # a task's whole result: free it before waiting for the next

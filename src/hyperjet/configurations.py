@@ -157,6 +157,16 @@ def is_heavy(weight: int, k: int) -> bool:
     return 2 * weight > k + 1
 
 
+def _heavy_a(cfg: JetConfiguration) -> int | None:
+    """The index of the heavy A-block, or None if no A-block is heavy."""
+    heavy = [
+        i for i, ab in enumerate(cfg.a_blocks) if is_heavy(cfg.weight_of(ab.points), cfg.k)
+    ]
+    if len(heavy) > 1:
+        raise AssertionError("two disjoint heavy blocks would exceed the total weight")
+    return heavy[0] if heavy else None
+
+
 @dataclass(frozen=True, slots=True)
 class Classification:
     label: str
@@ -190,12 +200,7 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
         )
 
     k, weight_of = cfg.k, cfg.weight_of
-    heavy_a_idxs = [
-        i for i, ab in enumerate(cfg.a_blocks) if is_heavy(weight_of(ab.points), k)
-    ]
-    if len(heavy_a_idxs) > 1:
-        raise AssertionError("two disjoint heavy blocks would exceed the total weight")
-    heavy_a = heavy_a_idxs[0] if heavy_a_idxs else None
+    heavy_a = _heavy_a(cfg)
 
     if not s.has_unit_b_class:
         # (0,1) is not effective: B-fibres have class (0, gamma/mu) with
@@ -406,18 +411,13 @@ def _skeletons(k: int) -> tuple[tuple[JetConfiguration, int | None], ...]:
                 continue
             for matrix in incidence_structures(weights):
                 w, a_pts, b_pts = _structure_to_blocks(matrix)
-                heavy = next(
-                    (i for i, pts in enumerate(a_pts)
-                     if is_heavy(sum(w[p] for p in pts), k)),
-                    None,
-                )
                 cfg = JetConfiguration(
                     k,
                     intern(w),
                     intern(tuple(singular(pts) for pts in a_pts)),
                     intern(tuple(intern(pts) for pts in b_pts)),
                 )
-                table.append((cfg, heavy))
+                table.append((cfg, _heavy_a(cfg)))
     return tuple(table)
 
 

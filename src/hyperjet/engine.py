@@ -142,15 +142,15 @@ def build_twist(
 
 def build_correction(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType, m_class: BlowupClass
-) -> tuple[BlowupClass, BlowupClass]:
+) -> tuple[BlowupClass, BlowupClass] | tuple[None, None]:
     """The SNC correction F (strict transforms of the corrected fibres) and N = M - F.
 
     The heavy A-fibre is corrected when it is the minimal (singular) one, and
-    the heavy B-fibre whenever there is one; a case with neither has no F.
+    the heavy B-fibre whenever there is one; a case with neither gets (None, None).
     """
     corr_a = cls.heavy_a is not None and cfg.a_blocks[cls.heavy_a].kind == SINGULAR_A
     if not corr_a and cls.heavy_b is None:
-        raise ValueError(f"case {cls.label} uses no correction divisor")
+        return None, None
     fibre, exc = DivisorClass(0, 0), [0] * cfg.r
     if corr_a:
         ab = cfg.a_blocks[cls.heavy_a]
@@ -291,17 +291,6 @@ def externally_certified_k1(s: SurfaceType) -> dict:
     }
 
 
-def twisted_classes(
-    cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
-) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None]:
-    """M, and F and N = M - F when the case corrects a fibre (None otherwise)."""
-    m_class = build_twist(cfg.k, cfg.weights, base)
-    try:
-        return (m_class, *build_correction(cfg, cls, s, m_class))
-    except ValueError:  # the case corrects no fibre
-        return m_class, None, None
-
-
 def verify(
     cfg: JetConfiguration, s: SurfaceType, base: DivisorClass | None = None
 ) -> Certificate:
@@ -311,7 +300,8 @@ def verify(
     cls = classify(cfg, s)
     if cls.label == R1:
         return replace(certify_r1(cfg.k, s, base), config=cfg)
-    m_class, f_class, n_class = twisted_classes(cfg, cls, s, base)
+    m_class = build_twist(cfg.k, cfg.weights, base)
+    f_class, n_class = build_correction(cfg, cls, s, m_class)
     strict = n_class is not None
     checked, what = (n_class, "N") if strict else (m_class, "M")
 
@@ -386,13 +376,14 @@ def iter_reports(
 ) -> Iterator[nonfibre.NonFibreReport]:
     """The non-fibre report of every enumerated configuration but the single point.
 
-    The same classes `verify` checks, without the fibre checks or the
-    certificate around them.
+    Each checks the class `verify` checks, N when the case corrects a fibre
+    and M otherwise, without the fibre checks or the certificate around them.
     """
     if base is None:
         base = default_base(k)
     for cfg in enumerate_configurations(k, s, part=part):
         cls = classify(cfg, s)
         if cls.label != R1:
-            m_class, _, n_class = twisted_classes(cfg, cls, s, base)
+            m_class = build_twist(k, cfg.weights, base)
+            _, n_class = build_correction(cfg, cls, s, m_class)
             yield nonfibre.analyse(cls, m_class if n_class is None else n_class, base, k)

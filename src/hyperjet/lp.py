@@ -93,6 +93,8 @@ class LinearSystem:
     def __post_init__(self) -> None:
         if not self.variables:
             raise ValueError("system needs at least one variable")
+        if not all(isinstance(v, str) for v in self.variables):
+            raise ValueError("variable names must be strings")
         n = len(self.variables)
         if len(set(self.variables)) != n:
             raise ValueError("variable names must be distinct")

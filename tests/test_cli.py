@@ -137,7 +137,7 @@ def test_certificate_lines_match_the_reference_encoding():
     count = r1 = 0
     for cfg in scopes:
         for task in cli._tasks(cfg, True):
-            lines = [part for part in cli._task(task, {}) if isinstance(part, str)]
+            lines = [part for part in cli._task_certs(task)[1] if isinstance(part, str)]
             certs = engine.iter_certificates(*cli._scope(task))
             for line, cert in zip(lines, certs, strict=True):
                 assert line == cli._dump({"kind": "certificate", **cert.to_json()}) + "\n"
@@ -268,6 +268,9 @@ def test_invalid_inputs_are_machine_readable(capsys, tmp_path):
         dict(system, target=dict(target, coeffs="1")),
         dict(system, target=dict(target, coeffs=[True])),
         [system],
+        # a name that is not a string would be printed as one, or fail to hash
+        dict(system, variables=[1]),
+        dict(system, variables=[["x"]]),
         # a repeated name would let the counterexample keep only one column
         {"variables": ["x", "x"],
          "constraints": [{"coeffs": ["1", "0"], "rel": ">=", "bound": "5"}],
@@ -446,6 +449,21 @@ def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):
         capsys, "verify", "--types", "1", "--k", "2..3", "--jobs", "8"
     )
     assert code == 0 and sizes == [2]
+
+
+def test_serial_run_calls_the_task_function_once_per_task(monkeypatch):
+    calls = []
+    task_certs = cli._task_certs
+
+    def counted(task):
+        calls.append(task)
+        return task_certs(task)
+
+    monkeypatch.setattr(cli, "_task_certs", counted)
+    cfg = cli.RunConfig("verify", k_max=3)
+    cli.run_verify(cfg, io.StringIO())
+    # the pool's task function, which the benchmark's tracer counts
+    assert len(calls) == len(cli._tasks(cfg, True))
 
 
 def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):

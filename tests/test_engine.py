@@ -96,13 +96,14 @@ def test_build_correction_subtracts_from_the_given_twist():
     assert f + n == m
 
 
-def test_build_correction_rejects_uncorrected_cases():
+def test_build_correction_is_none_for_uncorrected_cases():
     cfg = cfg_of(2, (1, 1, 1), [(p, SINGULAR_A, 1) for p in singletons(3)],
                  singletons(3))
     out = classify(cfg, surface(1))
     assert out.label == CASE_I
-    with pytest.raises(ValueError):
-        build_correction(cfg, out, surface(1), build_twist(cfg.k, cfg.weights))
+    assert build_correction(
+        cfg, out, surface(1), build_twist(cfg.k, cfg.weights)
+    ) == (None, None)
 
 
 @pytest.mark.parametrize("k", range(0, 9))
