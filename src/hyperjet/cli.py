@@ -53,7 +53,7 @@ class RunConfig:
             raise ConfigError("surface types must be in 1..7")
         if self.k_min > self.k_max:
             raise ConfigError("empty k range")
-        if self.mode in ("verify", "negative-control") and self.k_min < 2:
+        if self.k_min < 2:  # the modes without --k keep the default, 2
             raise ConfigError(
                 "k must be at least 2 (k = 1 is certified externally via "
                 "very ampleness of type (3,3); see externally_certified_k1)"
@@ -250,7 +250,7 @@ def _report_line(report: nonfibre.NonFibreReport) -> str:
     """`_dump({"kind": "nonfibre_report", **report.to_json()}) + "\\n"`, from cached fragments.
 
     The bounded cells are encoded here; the unbounded half is shared by
-    every report of its label, k, base and shared point.
+    every report with the same corrected fibres, k, base and shared point.
     """
     bounded = _dump([cell.to_json() for cell in report.bounded])
     return (

@@ -75,21 +75,10 @@ class JetConfiguration:
     def r(self) -> int:
         return len(self.weights)
 
-    def validate(self) -> None:
-        if self.k < 0:
-            raise ValueError("k must be non-negative")
-        if any(w < 1 for w in self.weights):
-            raise ValueError("weights must be positive")
-        if any(
-            self.weights[i] < self.weights[i + 1] for i in range(self.r - 1)
-        ):
-            raise ValueError("weights must be non-increasing")
-        if sum(self.weights) != self.k + 1:
-            raise ValueError(
-                f"weights must sum to k+1={self.k + 1}, got {sum(self.weights)}"
-            )
-        shared = _block_structure(
-            self.r, tuple(ab.points for ab in self.a_blocks), self.b_blocks
+    def validate(self) -> Structure:
+        """Raise ValueError unless well formed; else the memoized `_structure`."""
+        st = _structure(
+            self.k, self.weights, tuple([ab.points for ab in self.a_blocks]), self.b_blocks
         )
         for i, ab in enumerate(self.a_blocks):
             if ab.kind not in (SINGULAR_A, INTERMEDIATE_A, FULL_A):
@@ -98,8 +87,9 @@ class JetConfiguration:
                 raise ValueError("singular-A blocks carry fibre class (1,0)")
             if ab.kind != SINGULAR_A and ab.fibre_coeff < 2:
                 raise ValueError("non-minimal fibre coefficient must be >= 2")
-            if i == shared:
+            if i == st.two_point_a:
                 raise ValueError("an A-block and a B-block share at most one point")
+        return st
 
     def weight_of(self, points: tuple[int, ...]) -> int:
         return sum(self.weights[i] for i in points)
@@ -113,19 +103,44 @@ class JetConfiguration:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class Structure:
+    """What the weights and blocks of a configuration decide, whatever its type."""
+
+    two_point_a: int  # first A-block sharing two points with a B-block, else len(a_blocks)
+    heavy_a: int | None = None  # the A-block with 2w > k+1
+    strict_b: int | None = None  # the B-block with 2w > k+1
+    heavy_b: int | None = None  # the first B-block with 2w >= k+1 that meets heavy_a
+    shared_point: int | None = None  # the point heavy_a and heavy_b share
+
+
+def is_heavy(weight: int, k: int) -> bool:
+    """A block of this weight sum strictly exceeds the threshold (k+1)/2."""
+    return 2 * weight > k + 1
+
+
 @lru_cache(maxsize=None)
-def _block_structure(
-    r: int,
+def _structure(
+    k: int,
+    weights: tuple[int, ...],
     a_points: tuple[tuple[int, ...], ...],
     b_blocks: tuple[tuple[int, ...], ...],
-) -> int:
-    """Check that both block lists partition range(r); memoized per structure.
+) -> Structure:
+    """Check the weights and blocks and find the heavy ones; memoized per structure.
 
-    Returns the first A-block with a B-block sharing two points with it, or
-    len(a_points) if there is none; `validate` raises for that block only
-    after the kind checks of the blocks before it, and of itself, pass.
+    An A-block sharing two points with a B-block is only recorded, and ends
+    the analysis before the assertions: `validate` raises for it after the
+    kind checks of the blocks before it, and of itself, pass.
     """
-    pts = set(range(r))
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if any(w < 1 for w in weights):
+        raise ValueError("weights must be positive")
+    if any(weights[i] < weights[i + 1] for i in range(len(weights) - 1)):
+        raise ValueError("weights must be non-increasing")
+    if sum(weights) != k + 1:
+        raise ValueError(f"weights must sum to k+1={k + 1}, got {sum(weights)}")
+    pts = set(range(len(weights)))
     for blocks in (a_points, b_blocks):
         seen: set[int] = set()
         for blk in blocks:
@@ -142,29 +157,38 @@ def _block_structure(
     # at most one point exactly when no cell (A-block, B-block) holds two.
     row = {p: i for i, blk in enumerate(a_points) for p in blk}
     cells: set[tuple[int, int]] = set()
-    shared = len(a_points)
+    two_point_a = len(a_points)
     for j, bb in enumerate(b_blocks):
         for p in bb:
             cell = (row[p], j)
             if cell in cells:
-                shared = min(shared, row[p])
+                two_point_a = min(two_point_a, row[p])
             cells.add(cell)
-    return shared
+    if two_point_a < len(a_points):
+        return Structure(two_point_a)
 
+    def weight(blk: tuple[int, ...]) -> int:
+        return sum(weights[p] for p in blk)
 
-def is_heavy(weight: int, k: int) -> bool:
-    """A block of this weight sum strictly exceeds the threshold (k+1)/2."""
-    return 2 * weight > k + 1
-
-
-def _heavy_a(cfg: JetConfiguration) -> int | None:
-    """The index of the heavy A-block, or None if no A-block is heavy."""
-    heavy = [
-        i for i, ab in enumerate(cfg.a_blocks) if is_heavy(cfg.weight_of(ab.points), cfg.k)
-    ]
-    if len(heavy) > 1:
+    heavy_a = [i for i, blk in enumerate(a_points) if is_heavy(weight(blk), k)]
+    if len(heavy_a) > 1:
         raise AssertionError("two disjoint heavy blocks would exceed the total weight")
-    return heavy[0] if heavy else None
+    strict_b = [j for j, bb in enumerate(b_blocks) if is_heavy(weight(bb), k)]
+    if len(strict_b) > 1:
+        raise AssertionError("two disjoint heavy B-blocks cannot occur")
+    heavy, strict = heavy_a[0] if heavy_a else None, strict_b[0] if strict_b else None
+    weak_heavy_b = [j for j, bb in enumerate(b_blocks) if 2 * weight(bb) >= k + 1]
+    if heavy is None or not weak_heavy_b:
+        return Structure(two_point_a, heavy, strict)
+    s_points = set(a_points[heavy])
+    sharing = [j for j in weak_heavy_b if s_points & set(b_blocks[j])]
+    if not sharing:
+        # 2 sum(S) > k+1 and 2 sum(T) >= k+1 force S and T to meet
+        raise AssertionError("heavy A- and B-blocks must share a point")
+    shared = sorted(s_points & set(b_blocks[sharing[0]]))
+    if len(shared) != 1:
+        raise AssertionError("heavy blocks share exactly one point")
+    return Structure(two_point_a, heavy, strict, sharing[0], shared[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,9 +204,11 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
 
     Validates the configuration.  A single point is R1 at every k >= 0; any
     other configuration requires k >= 2: 1-jet ampleness of (3,3) is
-    certified externally, so k = 1 never reaches the case analysis.
+    certified externally, so k = 1 never reaches the case analysis.  The
+    heavy blocks come from the structure memo; the type adds which fibre
+    coefficients exist and whether B-blocks count.
     """
-    cfg.validate()
+    st = cfg.validate()
     for ab in cfg.a_blocks:
         if ab.kind == INTERMEDIATE_A and ab.fibre_coeff not in s.intermediate_fibre_coeffs:
             raise ValueError(
@@ -198,45 +224,17 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
             "classification requires k >= 2 (k = 1 is certified externally "
             "via very ampleness of type (3,3))"
         )
-
-    k, weight_of = cfg.k, cfg.weight_of
-    heavy_a = _heavy_a(cfg)
-
-    if not s.has_unit_b_class:
-        # (0,1) is not effective: B-fibres have class (0, gamma/mu) with
-        # gamma/mu >= 2 and can never become critical, so B-blocks are
-        # ignored and the b-variant labels do not occur.
-        if heavy_a is None:
-            return Classification(CASE_I)
-        return Classification(_a_label(cfg.a_blocks[heavy_a].kind, False), heavy_a)
-
-    if heavy_a is None:
-        strict_heavy_b = [
-            j for j, bb in enumerate(cfg.b_blocks) if is_heavy(weight_of(bb), k)
-        ]
-        if len(strict_heavy_b) > 1:
-            raise AssertionError("two disjoint heavy B-blocks cannot occur")
-        if strict_heavy_b:
-            return Classification(CASE_IV, None, strict_heavy_b[0], None)
+    # Where (0,1) is not effective, B-fibres have class (0, gamma/mu) with
+    # gamma/mu >= 2 and can never become critical, so B-blocks are ignored
+    # and the b-variant labels and IV do not occur.
+    if st.heavy_a is None:
+        if s.has_unit_b_class and st.strict_b is not None:
+            return Classification(CASE_IV, None, st.strict_b, None)
         return Classification(CASE_I)
-
-    s_points = set(cfg.a_blocks[heavy_a].points)
-    weak_heavy_b = [
-        j for j, bb in enumerate(cfg.b_blocks) if 2 * weight_of(bb) >= k + 1
-    ]
-    if not weak_heavy_b:
-        return Classification(_a_label(cfg.a_blocks[heavy_a].kind, False), heavy_a)
-    sharing = [j for j in weak_heavy_b if s_points & set(cfg.b_blocks[j])]
-    if not sharing:
-        # 2 sum(S) > k+1 and 2 sum(T) >= k+1 force S and T to meet
-        raise AssertionError("heavy A- and B-blocks must share a point")
-    heavy_b = sharing[0]
-    shared = sorted(s_points & set(cfg.b_blocks[heavy_b]))
-    if len(shared) != 1:
-        raise AssertionError("heavy blocks share exactly one point")
-    return Classification(
-        _a_label(cfg.a_blocks[heavy_a].kind, True), heavy_a, heavy_b, shared[0]
-    )
+    kind = cfg.a_blocks[st.heavy_a].kind
+    if not s.has_unit_b_class or st.heavy_b is None:
+        return Classification(_a_label(kind, False), st.heavy_a)
+    return Classification(_a_label(kind, True), st.heavy_a, st.heavy_b, st.shared_point)
 
 
 def _a_label(kind: str, with_heavy_b: bool) -> str:
@@ -405,19 +403,18 @@ def _skeletons(k: int) -> tuple[tuple[JetConfiguration, int | None], ...]:
 
     single = JetConfiguration(k, intern((k + 1,)), (singular((0,)),), (intern((0,)),))
     table: list[tuple[JetConfiguration, int | None]] = [(single, None)]
-    for r in range(2, k + 2):
-        for weights in weight_partitions(k + 1):
-            if len(weights) != r:
-                continue
-            for matrix in incidence_structures(weights):
-                w, a_pts, b_pts = _structure_to_blocks(matrix)
-                cfg = JetConfiguration(
-                    k,
-                    intern(w),
-                    intern(tuple(singular(pts) for pts in a_pts)),
-                    intern(tuple(intern(pts) for pts in b_pts)),
-                )
-                table.append((cfg, _heavy_a(cfg)))
+    # the partitions by length, each length in descending order (the sort
+    # is stable), after the single point (k+1,)
+    for weights in sorted(weight_partitions(k + 1), key=len)[1:]:
+        for matrix in incidence_structures(weights):
+            w, a_pts, b_pts = _structure_to_blocks(matrix)
+            cfg = JetConfiguration(
+                k,
+                intern(w),
+                intern(tuple(singular(pts) for pts in a_pts)),
+                intern(tuple(intern(pts) for pts in b_pts)),
+            )
+            table.append((cfg, cfg.validate().heavy_a))
     return tuple(table)
 
 

@@ -9,7 +9,8 @@ target value is
 
     (base - corr).C  -  sum c_i * m_i,
 
-so a report depends only on the label, the sorted c_i, corr, base and k.
+so a report depends only on the label, the sorted c_i, corr, base, k and
+whether the heavy fibres share a point.
 
 Two regimes cover all candidates:
 

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to cross-check the package.
 
-The incidence and naive bounded oracles are written from first principles,
-without reusing the package's enumeration or closed forms, so that agreement
-is a real check and not a tautology.  The fully materialized bounded checks
+The incidence, classification and naive bounded oracles are written from
+first principles, without reusing the package's enumeration, classifier or
+closed forms, so that agreement is a real check and not a tautology.  The fully materialized bounded checks
 (`check_bounded`) evaluate every genus-admissible assignment directly, the
 reference for the package's extremal knapsack cells.  The genus-bound
 oracles (`genus_admissible`, `max_single_multiplicity`,
@@ -12,6 +12,7 @@ oracles (`genus_admissible`, `max_single_multiplicity`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from math import isqrt
 from typing import Iterator
@@ -24,6 +25,7 @@ from hyperjet.configurations import (
     CASE_IIIA,
     CASE_IIIB,
     CASE_IV,
+    R1,
     SING_M_A,
     SING_M_B,
     Classification,
@@ -216,6 +218,42 @@ def per_type_configurations(
                         for i, pts in enumerate(a_pts)
                     )
                     yield JetConfiguration(k, w, a_blocks, b_blocks)
+
+
+def threshold_classification(
+    cfg: JetConfiguration, s: SurfaceType
+) -> tuple[str, int | None, int | None, int | None]:
+    """(label, heavy A-block, heavy B-block, shared point), from the threshold rules.
+
+    Block weights are compared with (k+1)/2 as fractions.  An A-block above
+    it picks the case by its fibre kind.  B-blocks count only where the
+    B-fibre class is (0,1): without a heavy A-block, a B-block above the
+    threshold is case IV; with one, the first B-block at or above it that
+    meets the heavy A-block makes the b-variant.
+    """
+    if len(cfg.weights) == 1:
+        return R1, None, None, None
+    half = Fraction(cfg.k + 1, 2)
+    a_mass = [sum(cfg.weights[p] for p in ab.points) for ab in cfg.a_blocks]
+    b_mass = []
+    if s.b_fibre_coeff == 1:
+        b_mass = [sum(cfg.weights[p] for p in bb) for bb in cfg.b_blocks]
+    heavy_a = [i for i, m in enumerate(a_mass) if m > half]
+    if not heavy_a:
+        heavy_b = [j for j, m in enumerate(b_mass) if m > half]
+        return (CASE_IV, None, heavy_b[0], None) if heavy_b else (CASE_I, None, None, None)
+    (i,) = heavy_a
+    plain, with_b = {
+        SINGULAR_A: (CASE_IIA, CASE_IIB),
+        INTERMEDIATE_A: (SING_M_A, SING_M_B),
+        FULL_A: (CASE_IIIA, CASE_IIIB),
+    }[cfg.a_blocks[i].kind]
+    for j, m in enumerate(b_mass):
+        common = set(cfg.a_blocks[i].points) & set(cfg.b_blocks[j])
+        if m >= half and common:
+            (point,) = common
+            return with_b, i, j, point
+    return plain, i, None, None
 
 
 def naive_bounded_checks(cfg: JetConfiguration, twisted: BlowupClass, strict: bool,

@@ -104,6 +104,8 @@ def test_bundle_bytes_are_pinned(capsys, tmp_path):
     pinned = {
         ("verify", "--types", "all", "--k", "2..4"):
             "fad663a259d5ebd9bd37aff1ef8a9902d0d218d7c293e3c224231ee9932f0d27",
+        ("verify", "--types", "all", "--k", "2..6"):
+            "4108cc8edad62b33b5039dfccd682b7395c53c1fee4418b722b69296cd2449b8",
         ("negative-control", "--types", "all", "--k", "2..4", "--class", "3,4"):
             "925fc3b2c5a8f2491e526c6dc50f3113a8d80011593c07e46ecc312746085beb",
     }
@@ -197,9 +199,17 @@ def test_negative_control_requires_class(capsys):
 
 
 def test_rejects_k_below_two(capsys):
-    code, _, err = run_cli(capsys, "verify", "--types", "1", "--k", "1")
-    assert code == 2
-    assert "externally" in json.loads(err)["error"]["message"]
+    for argv in (
+        ("verify", "--types", "1", "--k", "1"),
+        ("matrix", "--k", "1"),
+        ("matrix", "--k", "-1"),  # an empty scope: nothing to check, not a pass
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ConfigError", argv
+        assert "externally" in error["message"], argv
 
 
 def test_lp_check_valid_and_counterexample(capsys, tmp_path):

@@ -21,7 +21,11 @@ from hyperjet.configurations import (
     weight_partitions,
 )
 from hyperjet.surfaces import FULL_A, INTERMEDIATE_A, SINGULAR_A, catalog, surface
-from oracle_helpers import labeled_structures_canonicalized, per_type_configurations
+from oracle_helpers import (
+    labeled_structures_canonicalized,
+    per_type_configurations,
+    threshold_classification,
+)
 
 
 def cfg_of(k, weights, a_specs, b_blocks):
@@ -203,6 +207,15 @@ def test_classification_total_on_enumeration():
                     R1, CASE_I, CASE_IIA, CASE_IIB, CASE_IIIA, CASE_IIIB,
                     CASE_IV, SING_M_A, SING_M_B,
                 )
+
+
+def test_classify_matches_the_threshold_oracle():
+    for s in catalog():
+        for k in range(2, 7):
+            for cfg in enumerate_configurations(k, s):
+                out = classify(cfg, s)
+                got = (out.label, out.heavy_a, out.heavy_b, out.shared_point)
+                assert got == threshold_classification(cfg, s), (s.type_id, cfg)
 
 
 def test_label_coverage_type_one_k3():
