@@ -250,7 +250,8 @@ def _report_line(report: nonfibre.NonFibreReport) -> str:
     """`_dump({"kind": "nonfibre_report", **report.to_json()}) + "\\n"`, from cached fragments.
 
     The bounded cells are encoded here; the unbounded half is shared by
-    every report with the same corrected fibres, k, base and shared point.
+    every report with the same corrected fibres, k, base and, when both
+    fibres are corrected, shared point.
     """
     bounded = _dump([cell.to_json() for cell in report.bounded])
     return (

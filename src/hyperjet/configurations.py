@@ -29,12 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .surfaces import (
-    FULL_A,
-    INTERMEDIATE_A,
-    SINGULAR_A,
-    SurfaceType,
-)
+from .surfaces import INTERMEDIATE_A, SINGULAR_A, SurfaceType
 
 # Case labels.
 R1 = "R1"
@@ -76,20 +71,13 @@ class JetConfiguration:
         return len(self.weights)
 
     def validate(self) -> Structure:
-        """Raise ValueError unless well formed; else the memoized `_structure`."""
-        st = _structure(
+        """The memoized `_structure`; raise ValueError unless it is well formed.
+
+        Only the structure is checked; `classify` checks the fibre kinds.
+        """
+        return _structure(
             self.k, self.weights, tuple([ab.points for ab in self.a_blocks]), self.b_blocks
         )
-        for i, ab in enumerate(self.a_blocks):
-            if ab.kind not in (SINGULAR_A, INTERMEDIATE_A, FULL_A):
-                raise ValueError(f"unknown A-block kind {ab.kind!r}")
-            if ab.kind == SINGULAR_A and ab.fibre_coeff != 1:
-                raise ValueError("singular-A blocks carry fibre class (1,0)")
-            if ab.kind != SINGULAR_A and ab.fibre_coeff < 2:
-                raise ValueError("non-minimal fibre coefficient must be >= 2")
-            if i == st.two_point_a:
-                raise ValueError("an A-block and a B-block share at most one point")
-        return st
 
     def weight_of(self, points: tuple[int, ...]) -> int:
         return sum(self.weights[i] for i in points)
@@ -107,7 +95,6 @@ class JetConfiguration:
 class Structure:
     """What the weights and blocks of a configuration decide, whatever its type."""
 
-    two_point_a: int  # first A-block sharing two points with a B-block, else len(a_blocks)
     heavy_a: int | None = None  # the A-block with 2w > k+1
     strict_b: int | None = None  # the B-block with 2w > k+1
     heavy_b: int | None = None  # the first B-block with 2w >= k+1 that meets heavy_a
@@ -128,9 +115,7 @@ def _structure(
 ) -> Structure:
     """Check the weights and blocks and find the heavy ones; memoized per structure.
 
-    An A-block sharing two points with a B-block is only recorded, and ends
-    the analysis before the assertions: `validate` raises for it after the
-    kind checks of the blocks before it, and of itself, pass.
+    Equal analyses are one `Structure` object.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -153,19 +138,11 @@ def _structure(
             seen.update(blk)
         if seen != pts:
             raise ValueError("incidence blocks must cover all points")
-    # The blocks partition the points, so an A-block and a B-block share
-    # at most one point exactly when no cell (A-block, B-block) holds two.
+    # The blocks partition the points, so an A-block and a B-block share at
+    # most one point exactly when each B-block's points lie on distinct A-blocks.
     row = {p: i for i, blk in enumerate(a_points) for p in blk}
-    cells: set[tuple[int, int]] = set()
-    two_point_a = len(a_points)
-    for j, bb in enumerate(b_blocks):
-        for p in bb:
-            cell = (row[p], j)
-            if cell in cells:
-                two_point_a = min(two_point_a, row[p])
-            cells.add(cell)
-    if two_point_a < len(a_points):
-        return Structure(two_point_a)
+    if any(len({row[p] for p in bb}) < len(bb) for bb in b_blocks):
+        raise ValueError("an A-block and a B-block share at most one point")
 
     def weight(blk: tuple[int, ...]) -> int:
         return sum(weights[p] for p in blk)
@@ -179,7 +156,7 @@ def _structure(
     heavy, strict = heavy_a[0] if heavy_a else None, strict_b[0] if strict_b else None
     weak_heavy_b = [j for j, bb in enumerate(b_blocks) if 2 * weight(bb) >= k + 1]
     if heavy is None or not weak_heavy_b:
-        return Structure(two_point_a, heavy, strict)
+        return _interned(Structure(heavy, strict))
     s_points = set(a_points[heavy])
     sharing = [j for j in weak_heavy_b if s_points & set(b_blocks[j])]
     if not sharing:
@@ -188,7 +165,13 @@ def _structure(
     shared = sorted(s_points & set(b_blocks[sharing[0]]))
     if len(shared) != 1:
         raise AssertionError("heavy blocks share exactly one point")
-    return Structure(two_point_a, heavy, strict, sharing[0], shared[0])
+    return _interned(Structure(heavy, strict, sharing[0], shared[0]))
+
+
+@lru_cache(maxsize=None)
+def _interned(st: Structure) -> Structure:
+    """The first record equal to `st`."""
+    return st
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,18 +188,15 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
     Validates the configuration.  A single point is R1 at every k >= 0; any
     other configuration requires k >= 2: 1-jet ampleness of (3,3) is
     certified externally, so k = 1 never reaches the case analysis.  The
-    heavy blocks come from the structure memo; the type adds which fibre
-    coefficients exist and whether B-blocks count.
+    heavy blocks come from the structure memo; the type adds which A-fibres
+    exist (`SurfaceType.a_fibres`) and whether B-blocks count.
     """
     st = cfg.validate()
     for ab in cfg.a_blocks:
-        if ab.kind == INTERMEDIATE_A and ab.fibre_coeff not in s.intermediate_fibre_coeffs:
+        if (ab.kind, ab.fibre_coeff) not in s.a_fibres:
             raise ValueError(
-                f"type {s.type_id} has no intermediate fibre with coefficient "
-                f"{ab.fibre_coeff}"
+                f"type {s.type_id} has no {ab.kind} fibre with coefficient {ab.fibre_coeff}"
             )
-        if ab.kind == FULL_A and ab.fibre_coeff != s.mu:
-            raise ValueError(f"full fibre class on type {s.type_id} is ({s.mu},0)")
     if cfg.r == 1:
         return Classification(R1)
     if cfg.k < 2:
@@ -446,15 +426,13 @@ def enumerate_configurations(
             "enumeration requires k >= 2 (k = 1 is certified externally)"
         )
 
-    variants = [(INTERMEDIATE_A, m) for m in s.intermediate_fibre_coeffs]
-    variants.append((FULL_A, s.mu))
     table = _skeletons(k)
     for cfg, heavy in table if part is None else table[part]:
         yield cfg
         if heavy is not None:
             blocks = cfg.a_blocks
             points = blocks[heavy].points
-            for kind, coeff in variants:
+            for kind, coeff in s.a_fibres[1:]:
                 a_blocks = (
                     blocks[:heavy] + (ABlock(points, kind, coeff),) + blocks[heavy + 1:]
                 )

@@ -10,8 +10,12 @@ returned.  No floating point is used anywhere.
 
 Relations: constraints and targets use ">=", ">" or "==".  Strictness is
 tracked through combinations (a combination is strict iff it uses a strict
-row with positive multiplier).  An infeasible hypothesis system is reported
-as "vacuously_valid" with an infeasibility certificate, never as "valid".
+row with positive multiplier).  An "==" target is decided as its ">=" half
+and its "<=" half (the negated target as ">="); a Valid answer carries the
+witness of the first and, as `reverse_witness`, of the second, each checked
+against the system with that half as its target.  An infeasible hypothesis
+system is reported as "vacuously_valid" with an infeasibility certificate,
+never as "valid".
 """
 
 from __future__ import annotations
@@ -335,6 +339,8 @@ class EntailmentResult:
     status: str
     witness: tuple[tuple[object, Fraction], ...] | None = None
     counterexample: dict[str, Fraction] | None = None
+    # for an "==" target, the witness of its "<=" half
+    reverse_witness: tuple[tuple[object, Fraction], ...] | None = None
 
     @property
     def is_valid(self) -> bool:
@@ -342,15 +348,13 @@ class EntailmentResult:
 
     def to_json(self) -> dict:
         obj: dict = {"status": self.status}
-        if self.witness is not None:
-            obj["witness"] = [
-                {
-                    "constraint": (k if isinstance(k, str) else k[0]),
-                    "direction": (1 if isinstance(k, str) else k[1]),
-                    "multiplier": str(m),
-                }
-                for k, m in self.witness
-            ]
+        for name in ("witness", "reverse_witness"):
+            witness = getattr(self, name)
+            if witness is not None:
+                obj[name] = [
+                    {"constraint": i, "direction": sign, "multiplier": str(m)}
+                    for (i, sign), m in witness
+                ]
         if self.counterexample is not None:
             obj["counterexample"] = {v: str(x) for v, x in self.counterexample.items()}
         return obj
@@ -362,10 +366,12 @@ def verify_witness(sys_: LinearSystem, witness) -> bool:
     The witness must be a non-negative combination of constraint rows whose
     coefficient vector equals the target's and whose combined bound reaches
     the target bound (strictly, or through a strict row, when the target is
-    strict).  For equality targets both directions must be covered, which
-    entails() handles by splitting; this checker handles ">=" and ">".
+    strict).  An equality target needs a witness per half, so it is False;
+    check each half against the system with that half as its target.
     """
     t = sys_.target
+    if t.rel == EQ:
+        return False
     n = len(sys_.variables)
     total = [Fraction(0)] * n
     bound = Fraction(0)
@@ -426,7 +432,7 @@ def entails(sys_: LinearSystem) -> EntailmentResult:
             return r2
         if VACUOUSLY_VALID in (r1.status, r2.status):
             return r1 if r1.status == VACUOUSLY_VALID else r2
-        return EntailmentResult(VALID, witness=r1.witness)
+        return EntailmentResult(VALID, witness=r1.witness, reverse_witness=r2.witness)
 
     nvars = len(sys_.variables)
 

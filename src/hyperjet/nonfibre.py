@@ -397,8 +397,9 @@ def check_unbounded(
     `corrected` says whether the heavy A-fibre and the heavy B-fibre are
     subtracted (A, B); it picks the battery facts, the bonus premise and the
     branches.  When both are, the shared-point premise checks
-    `shared_exists`.  Memoized: every report with the same corrected fibres,
-    k, base and shared point holds the same object.
+    `shared_exists`, which is read only then.  Memoized: every report with
+    the same corrected fibres, k, base and, when both are corrected, shared
+    point holds the same object.
     """
     fact_names, branches, bonus = _REGIMES[corrected]
     battery = implication_battery()
@@ -474,7 +475,7 @@ def _report_for_key(
     corr = DivisorClass(*corr_pair)
     corrected = (corr.a > 0, corr.b > 0)
     bounded = bounded_cells(coefs, corr, base, any(corrected))
-    unbounded = check_unbounded(corrected, k, base, shared_exists)
+    unbounded = check_unbounded(corrected, k, base, shared_exists and all(corrected))
     passed = all(c.passed for c in bounded) and unbounded.passed
     key = f"{label}|{','.join(map(str, coefs))}|corr{corr_pair}|base{base_pair}|k{k}"
     return NonFibreReport(key, label, bounded, unbounded, passed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lattice import DivisorClass
 
@@ -60,6 +61,16 @@ class SurfaceType:
         """
         coeffs = {self.mu // m for m in self.singular_multiplicities}
         return tuple(sorted(c for c in coeffs if c > 1))
+
+    @cached_property
+    def a_fibres(self) -> tuple[tuple[str, int], ...]:
+        """The (kind, coefficient) pairs an A-block may carry, minimal first.
+
+        The minimal singular fibre (1, 0), each intermediate fibre m*(A/mu),
+        then the full fibre A = (mu, 0).  Computed once per type.
+        """
+        inter = tuple((INTERMEDIATE_A, m) for m in self.intermediate_fibre_coeffs)
+        return ((SINGULAR_A, 1), *inter, (FULL_A, self.mu))
 
     def to_json(self) -> dict:
         classes = [

@@ -67,8 +67,20 @@ def test_criterion_1_table_reproduction():
     print(f"\nACCEPTANCE 1 PASS: 10/10 rows match golden in {elapsed:.3f}s")
 
 
+# The north-star sweep's certificates per label, summed over types 1-7, k 2-8.
+NORTH_STAR_LABELS = {
+    "I": 87_083, "IIIa": 20_469, "IIIb": 5_144, "IIa": 20_469, "IIb": 5_144,
+    "IV": 11_428, "R1": 49, "SingM-a": 10_778, "SingM-b": 3_858,
+}
+
+
 def test_criterion_2_main_theorem_verification(main_sweep):
     assert main_sweep["failed"] == 0
+    assert main_sweep["total"] == 164_422
+    per_label: dict[str, int] = {}
+    for (_, label), count in main_sweep["label_counts"].items():
+        per_label[label] = per_label.get(label, 0) + count
+    assert per_label == NORTH_STAR_LABELS
     assert main_sweep["elapsed"] < TIME_BUDGET_SWEEP
     print(
         f"\nACCEPTANCE 2 PASS: {main_sweep['total']} certificates, "

@@ -266,9 +266,41 @@ def test_validation_errors():
         cfg_of(2, (2, 1), [((0,), SINGULAR_A, 1)], singletons(2)).validate()
     with pytest.raises(ValueError, match="twice"):
         cfg_of(2, (2, 1), [((0, 0, 1), SINGULAR_A, 1)], singletons(2)).validate()
-    with pytest.raises(ValueError, match="unknown A-block kind"):
-        # A-block 0 also holds a doubly shared cell: its kind is checked first
+    with pytest.raises(ValueError, match="share at most one"):
+        # validate checks only the structure, whatever the blocks' kinds
         cfg_of(2, (2, 1), [((0, 1), "smooth-A", 1)], [(0, 1)]).validate()
+    with pytest.raises(ValueError, match="type 1 has no smooth-A fibre"):
+        classify(cfg_of(2, (2, 1), [((0, 1), "smooth-A", 1)], singletons(2)), surface(1))
+
+
+# The (kind, coefficient) pairs each type's A-blocks may carry, written out
+# from the singular multiplicities: (1,0), m*(A/mu) for 1 < m <= mu/2, (mu,0).
+A_FIBRES_BY_HAND = {
+    1: {(SINGULAR_A, 1), (FULL_A, 2)},
+    2: {(SINGULAR_A, 1), (FULL_A, 2)},
+    3: {(SINGULAR_A, 1), (INTERMEDIATE_A, 2), (FULL_A, 4)},
+    4: {(SINGULAR_A, 1), (INTERMEDIATE_A, 2), (FULL_A, 4)},
+    5: {(SINGULAR_A, 1), (FULL_A, 3)},
+    6: {(SINGULAR_A, 1), (FULL_A, 3)},
+    7: {(SINGULAR_A, 1), (INTERMEDIATE_A, 2), (INTERMEDIATE_A, 3), (FULL_A, 6)},
+}
+
+
+@pytest.mark.parametrize("tid", range(1, 8))
+def test_classify_accepts_exactly_the_types_a_fibres(tid):
+    # k=2, weights (2,1), one A-block holding both points
+    candidates = [(SINGULAR_A, 1), (SINGULAR_A, 2), ("smooth-A", 1)]
+    candidates += [(INTERMEDIATE_A, m) for m in (1, 2, 3)]
+    candidates += [(FULL_A, m) for m in range(2, 7)]
+    accepted = set()
+    for kind, coeff in candidates:
+        cfg = cfg_of(2, (2, 1), [((0, 1), kind, coeff)], singletons(2))
+        try:
+            classify(cfg, surface(tid))
+        except ValueError:
+            continue
+        accepted.add((kind, coeff))
+    assert accepted == A_FIBRES_BY_HAND[tid]
 
 
 def test_invalid_configuration_raises_on_every_validation():

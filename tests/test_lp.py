@@ -164,3 +164,20 @@ def test_randomized_agreement_with_box_enumeration():
             assert all(c.holds_at(point) for c in sys_.constraints)
             assert not sys_.target.holds_at(point)
     assert checked_valid >= 5
+
+
+def test_equality_target_has_a_witness_per_half():
+    hyps = [({"x": 1, "y": 1}, lp.EQ, 4), ({"x": 1, "y": -1}, lp.EQ, 0)]
+    eq = lp.system(["x", "y"], hyps, ({"x": 1}, lp.EQ, 2))
+    res = lp.entails(eq)
+    assert res.status == lp.VALID
+    ge = lp.system(["x", "y"], hyps, ({"x": 1}, lp.GE, 2))
+    le = lp.system(["x", "y"], hyps, ({"x": -1}, lp.GE, -2))
+    assert lp.verify_witness(ge, res.witness)
+    assert lp.verify_witness(le, res.reverse_witness)
+    assert not lp.verify_witness(le, res.witness)
+    # one half's witness does not prove an equality target
+    assert not lp.verify_witness(eq, res.witness)
+    obj = res.to_json()
+    assert obj["witness"] and obj["reverse_witness"]
+    assert "reverse_witness" not in lp.entails(ge).to_json()

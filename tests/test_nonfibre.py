@@ -271,6 +271,17 @@ def test_reports_are_cached_by_arithmetic_content():
     assert r1 is r2
 
 
+def test_iv_and_iiib_share_their_unbounded_half():
+    # IV and IIIb both correct the B-fibre only; IIIb has a shared point, IV
+    # none, and the unbounded half reads the shared point only when both
+    # fibres are corrected
+    first = {}
+    for cert in iter_certificates(surface(1), 4):
+        if cert.label in ("IV", "IIIb"):
+            first.setdefault(cert.label, cert.nonfibre_report)
+    assert first["IV"].unbounded is first["IIIb"].unbounded
+
+
 @pytest.mark.parametrize("type_id", range(1, 8))
 def test_report_keys_match_oracle_offsets(type_id):
     """Every certificate's report key, rebuilt from the oracle's offsets.
