@@ -186,12 +186,12 @@ def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, slice]:
 
 # The text of each fragment of a bundle line this process has encoded in the
 # current run, with the object it encodes; emptied at the start of every run
-# (before a pool forks, so every worker starts with nothing).  Check records
-# and unbounded reports, which the engine and the report cache share between
-# certificates, are keyed by id (the entry holds the object, so its id cannot
-# be reused).  Everything else is keyed by value: A-blocks, block and weight
-# tuples, classes, strings and None.  No value key is an int, so the two
-# kinds of key never meet.
+# (before a pool forks, so every worker starts with nothing).  Check records,
+# classes and unbounded reports, which the engine and the report cache share
+# between certificates (one object per value), are keyed by id (the entry
+# holds the object, so its id cannot be reused).  Everything else is keyed by
+# value: A-blocks, block and weight tuples, strings and None.  No value key is
+# an int, so the two kinds of key never meet.
 _fragments: dict[object, tuple[object, str]] = {}
 
 # the keys of the reports whose lines this process has made in the current run
@@ -235,10 +235,10 @@ def _certificate_line(cert: engine.Certificate) -> str:
     seshadri = cert.seshadri_axiom
     return (
         f'{{"base":[{a},{b}],"checks":[{checks}],"config":{_config_text(cert.config)},'
-        f'"f_class":{_fragment(cert.f_class, cert.f_class)},"k":{cert.k},'
+        f'"f_class":{_fragment(id(cert.f_class), cert.f_class)},"k":{cert.k},'
         f'"kind":"certificate","label":{_fragment(cert.label, cert.label)},'
-        f'"m_class":{_fragment(cert.m_class, cert.m_class)},'
-        f'"n_class":{_fragment(cert.n_class, cert.n_class)},'
+        f'"m_class":{_fragment(id(cert.m_class), cert.m_class)},'
+        f'"n_class":{_fragment(id(cert.n_class), cert.n_class)},'
         f'"nonfibre_ref":{_fragment(key, key)},"pass":{_json_bool(cert.passed)},'
         f'"seshadri_axiom":{"null" if seshadri is None else _dump(seshadri)},'
         f'"snc_axiom":{_json_bool(cert.snc_axiom)},"surface_type":{cert.surface_type},'

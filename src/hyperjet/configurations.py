@@ -70,8 +70,8 @@ class JetConfiguration:
     def r(self) -> int:
         return len(self.weights)
 
-    def validate(self) -> Structure:
-        """The memoized `_structure`; raise ValueError unless it is well formed.
+    def validate(self) -> Core:
+        """The structure's memoized core; raise ValueError unless it is well formed.
 
         Only the structure is checked; `classify` checks the fibre kinds.
         """
@@ -92,13 +92,34 @@ class JetConfiguration:
 
 
 @dataclass(frozen=True, slots=True)
-class Structure:
-    """What the weights and blocks of a configuration decide, whatever its type."""
+class Residual:
+    """The exceptional side of M = pi*L - sum (k_i + 1)E_i or of N = M - F, whatever
+    the base L and the type: with the class's base (a, b), its square is 2ab -
+    `square`, its pairing with a fibre (c, d) through a block cb + da - the block's sum."""
 
-    heavy_a: int | None = None  # the A-block with 2w > k+1
-    strict_b: int | None = None  # the B-block with 2w > k+1
-    heavy_b: int | None = None  # the first B-block with 2w >= k+1 that meets heavy_a
-    shared_point: int | None = None  # the point heavy_a and heavy_b share
+    f_exc: tuple[int, ...] | None  # F's exceptional vector; None for M
+    exc: tuple[int, ...]  # the class's: k_i + 1, less F's
+    a_sums: tuple[int, ...]  # exc summed over each A-block
+    b_sums: tuple[int, ...]  # and over each B-block
+    coefs: tuple[int, ...]  # exc sorted, as the non-fibre report reads it
+    square: int  # sum of exc_i^2
+
+
+@dataclass(frozen=True, slots=True)
+class Core(Residual):
+    """The structure memo's record, whatever the type: M's residual, the heavy
+    blocks, and N's residual for each set of corrected fibres the structure
+    allows (None where it allows none)."""
+
+    heavy_a: int | None  # the A-block with 2w > k+1
+    heavy_b: int | None  # with heavy_a, the first B-block with 2w >= k+1 meeting it; else 2w > k+1
+    shared_point: int | None  # the point heavy_a and heavy_b share
+    n_a: Residual | None  # the heavy A-fibre corrected
+    n_b: Residual | None  # the heavy B-fibre corrected
+    n_ab: Residual | None  # both
+
+    def residual(self, corr_a: bool, corr_b: bool) -> Residual:
+        return (self, self.n_a, self.n_b, self.n_ab)[corr_a + 2 * corr_b]
 
 
 def is_heavy(weight: int, k: int) -> bool:
@@ -112,11 +133,10 @@ def _structure(
     weights: tuple[int, ...],
     a_points: tuple[tuple[int, ...], ...],
     b_blocks: tuple[tuple[int, ...], ...],
-) -> Structure:
-    """Check the weights and blocks and find the heavy ones; memoized per structure.
-
-    Equal analyses are one `Structure` object.
-    """
+) -> Core:
+    """Check the weights and blocks, find the heavy ones, and compute the
+    core, its residuals' tuples interned; memoized per structure, so once per
+    skeleton for all seven types, every heavy-kind variant and every base."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if any(w < 1 for w in weights):
@@ -155,23 +175,38 @@ def _structure(
         raise AssertionError("two disjoint heavy B-blocks cannot occur")
     heavy, strict = heavy_a[0] if heavy_a else None, strict_b[0] if strict_b else None
     weak_heavy_b = [j for j, bb in enumerate(b_blocks) if 2 * weight(bb) >= k + 1]
-    if heavy is None or not weak_heavy_b:
-        return _interned(Structure(heavy, strict))
-    s_points = set(a_points[heavy])
-    sharing = [j for j in weak_heavy_b if s_points & set(b_blocks[j])]
-    if not sharing:
-        # 2 sum(S) > k+1 and 2 sum(T) >= k+1 force S and T to meet
-        raise AssertionError("heavy A- and B-blocks must share a point")
-    shared = sorted(s_points & set(b_blocks[sharing[0]]))
-    if len(shared) != 1:
-        raise AssertionError("heavy blocks share exactly one point")
-    return _interned(Structure(heavy, strict, sharing[0], shared[0]))
+    # a strict heavy B-block is also weak: without a weak one, strict is None
+    heavy_b, shared_point = strict, None
+    if heavy is not None and weak_heavy_b:
+        s_points = set(a_points[heavy])
+        sharing = [j for j in weak_heavy_b if s_points & set(b_blocks[j])]
+        if not sharing:
+            # 2 sum(S) > k+1 and 2 sum(T) >= k+1 force S and T to meet
+            raise AssertionError("heavy A- and B-blocks must share a point")
+        shared = sorted(s_points & set(b_blocks[sharing[0]]))
+        if len(shared) != 1:
+            raise AssertionError("heavy blocks share exactly one point")
+        heavy_b, shared_point = sharing[0], shared[0]
+
+    def residual(*corrected: tuple[int, ...]) -> tuple:
+        f = [sum([p in blk for blk in corrected]) for p in range(len(weights))]
+        exc = _interned(tuple([w + 1 - c for w, c in zip(weights, f)]))
+        sums = [tuple([sum([exc[p] for p in blk]) for blk in bs]) for bs in (a_points, b_blocks)]
+        return (_interned(tuple(f)) if corrected else None, exc, *map(_interned, sums),
+                _interned(tuple(sorted(exc))), sum([e * e for e in exc]))
+
+    def n(*corrected: tuple[int, ...] | None) -> Residual | None:
+        return None if None in corrected else Residual(*residual(*corrected))
+
+    a_blk = None if heavy is None else a_points[heavy]
+    b_blk = None if heavy_b is None else b_blocks[heavy_b]
+    return Core(*residual(), heavy, heavy_b, shared_point, n(a_blk), n(b_blk), n(a_blk, b_blk))
 
 
 @lru_cache(maxsize=None)
-def _interned(st: Structure) -> Structure:
-    """The first record equal to `st`."""
-    return st
+def _interned(value):
+    """The first value equal to `value`."""
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,8 +243,8 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
     # gamma/mu >= 2 and can never become critical, so B-blocks are ignored
     # and the b-variant labels and IV do not occur.
     if st.heavy_a is None:
-        if s.has_unit_b_class and st.strict_b is not None:
-            return Classification(CASE_IV, None, st.strict_b, None)
+        if s.has_unit_b_class and st.heavy_b is not None:
+            return Classification(CASE_IV, None, st.heavy_b, None)
         return Classification(CASE_I)
     kind = cfg.a_blocks[st.heavy_a].kind
     if not s.has_unit_b_class or st.heavy_b is None:
@@ -364,14 +399,15 @@ def _structure_to_blocks(
 
 
 @lru_cache(maxsize=None)
-def _skeletons(k: int) -> tuple[tuple[JetConfiguration, int | None], ...]:
+def _skeletons(k: int) -> tuple[tuple[JetConfiguration, ...], tuple[int | None, ...]]:
     """Every labeled matrix of k with its heavy A-row, shared by all seven types.
 
-    One entry per matrix: the configuration with every A-block singular and
-    the index of its heavy A-block (None if no A-block is heavy).  The single
-    point comes first, then the matrices by point count, weight vector and
-    matrix, so a cap on the point count is a prefix.  Weight tuples, blocks
-    and singular A-blocks are interned: equal ones are one object.
+    One entry per matrix: the configuration with every A-block singular and,
+    in the second tuple, the index of its heavy A-block (None if no A-block
+    is heavy).  The single point comes first, then the matrices by point
+    count, weight vector and matrix, so a cap on the point count is a prefix.
+    Weight tuples, blocks and singular A-blocks are interned: equal ones are
+    one object.
     """
     pool: dict = {}
 
@@ -382,25 +418,29 @@ def _skeletons(k: int) -> tuple[tuple[JetConfiguration, int | None], ...]:
         return intern(ABlock(intern(pts), SINGULAR_A, 1))
 
     single = JetConfiguration(k, intern((k + 1,)), (singular((0,)),), (intern((0,)),))
-    table: list[tuple[JetConfiguration, int | None]] = [(single, None)]
+    table, heavy = [single], [None]
     # the partitions by length, each length in descending order (the sort
     # is stable), after the single point (k+1,)
     for weights in sorted(weight_partitions(k + 1), key=len)[1:]:
         for matrix in incidence_structures(weights):
             w, a_pts, b_pts = _structure_to_blocks(matrix)
+            a_pts = intern(tuple(intern(pts) for pts in a_pts))
             cfg = JetConfiguration(
                 k,
                 intern(w),
                 intern(tuple(singular(pts) for pts in a_pts)),
                 intern(tuple(intern(pts) for pts in b_pts)),
             )
-            table.append((cfg, cfg.validate().heavy_a))
-    return tuple(table)
+            table.append(cfg)
+            # the first call of `cfg.validate()`, with the interned A-point
+            # tuple: the memo keeps that call's key
+            heavy.append(_structure(k, cfg.weights, a_pts, cfg.b_blocks).heavy_a)
+    return tuple(table), tuple(heavy)
 
 
 def skeleton_count(k: int, r_max: int) -> int:
     """The number of entries of k's skeleton table with at most r_max points."""
-    return bisect_right(_skeletons(k), r_max, key=lambda entry: entry[0].r)
+    return bisect_right(_skeletons(k)[0], r_max, key=lambda cfg: cfg.r)
 
 
 def enumerate_configurations(
@@ -422,12 +462,10 @@ def enumerate_configurations(
     them enumerate that scope in order.
     """
     if k < 2:
-        raise ValueError(
-            "enumeration requires k >= 2 (k = 1 is certified externally)"
-        )
-
-    table = _skeletons(k)
-    for cfg, heavy in table if part is None else table[part]:
+        raise ValueError("enumeration requires k >= 2 (k = 1 is certified externally)")
+    configs, heavies = _skeletons(k)
+    part = slice(None) if part is None else part
+    for cfg, heavy in zip(configs[part], heavies[part]):
         yield cfg
         if heavy is not None:
             blocks = cfg.a_blocks

@@ -16,6 +16,14 @@ the corrected cases, and verifies exactly the inequalities each case needs:
 The single-point case uses the unit lower bound on the Seshadri constant of
 (1,1) as a recorded axiom: nef follows from min(a, b) >= k+2 and bigness
 from L^2 - (k+2)^2 > 0.  All arithmetic is exact.
+
+Once per skeleton, for all types, heavy-kind variants and bases, the structure
+memo (`JetConfiguration.validate`) keeps its `Core`: M's exceptional vector and,
+for each set of corrected fibres it allows, F's and N's, their block sums, sorted
+vectors and sums of squares.  Per certificate, `verify` classifies, picks the
+residual of the corrected fibres and computes the square 2ab less the sum of
+squares and each fibre value c*b less the block's sum.  M, F and N are memoized
+by value.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .configurations import (
     R1,
     Classification,
     JetConfiguration,
+    Residual,
     classify,
     enumerate_configurations,
 )
@@ -131,42 +140,28 @@ class Certificate:
         }
 
 
-def build_twist(
-    k: int, weights: tuple[int, ...], base: DivisorClass | None = None
-) -> BlowupClass:
-    """M = pi*base - sum (k_i + 1) E_i."""
-    if base is None:
-        base = default_base(k)
-    return BlowupClass(base, tuple(w + 1 for w in weights))
+@lru_cache(maxsize=None)
+def _blowup(a: int, b: int, exc: tuple[int, ...]) -> BlowupClass:
+    """pi*(a, b) - sum exc_i E_i, memoized by value: equal classes are one object."""
+    return BlowupClass(DivisorClass(a, b), exc)
 
 
-def build_correction(
-    cfg: JetConfiguration, cls: Classification, s: SurfaceType, m_class: BlowupClass
-) -> tuple[BlowupClass, BlowupClass] | tuple[None, None]:
-    """The SNC correction F (strict transforms of the corrected fibres) and N = M - F.
-
-    The heavy A-fibre is corrected when it is the minimal (singular) one, and
-    the heavy B-fibre whenever there is one; a case with neither gets (None, None).
-    """
-    corr_a = cls.heavy_a is not None and cfg.a_blocks[cls.heavy_a].kind == SINGULAR_A
-    if not corr_a and cls.heavy_b is None:
-        return None, None
-    fibre, exc = DivisorClass(0, 0), [0] * cfg.r
-    if corr_a:
-        ab = cfg.a_blocks[cls.heavy_a]
-        fibre += DivisorClass(ab.fibre_coeff, 0)
-        for p in ab.points:
-            exc[p] += 1
-    if cls.heavy_b is not None:
-        fibre += DivisorClass(0, s.b_fibre_coeff)
-        for p in cfg.b_blocks[cls.heavy_b]:
-            exc[p] += 1
-    f_class = BlowupClass(fibre, tuple(exc))
-    return f_class, m_class - f_class
-
-
-def certify_square(cls_: BlowupClass, strict: bool, what: str) -> CheckRecord:
-    return _square_record(cls_.square(), strict, what)
+def _classes(
+    cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
+) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None, Residual]:
+    """M, the SNC correction F, N = M - F and the checked class's residual, from the
+    skeleton's core.  F corrects the heavy A-fibre when it is the minimal (singular)
+    one and the heavy B-fibre if any; a case with neither has F = N = None."""
+    core = cfg.validate()
+    heavy = None if cls.heavy_a is None else cfg.a_blocks[cls.heavy_a]
+    corr_a, corr_b = heavy is not None and heavy.kind == SINGULAR_A, cls.heavy_b is not None
+    res = core.residual(corr_a, corr_b)
+    m_class = _blowup(base.a, base.b, core.exc)
+    if res.f_exc is None:
+        return m_class, None, None, res
+    fa, fb = heavy.fibre_coeff if corr_a else 0, s.b_fibre_coeff if corr_b else 0
+    n_class = _blowup(base.a - fa, base.b - fb, res.exc)
+    return m_class, _blowup(fa, fb, res.f_exc), n_class, res
 
 
 @lru_cache(maxsize=None)
@@ -176,41 +171,39 @@ def _square_record(value: int, strict: bool, divisor: str) -> CheckRecord:
 
 
 def certify_fibres(
-    divisor: BlowupClass,
-    cfg: JetConfiguration,
-    s: SurfaceType,
-    strict: bool,
-    what: str,
+    divisor: BlowupClass, res: Residual, cfg: JetConfiguration, s: SurfaceType,
+    strict: bool, what: str,
 ) -> list[CheckRecord]:
-    """Intersect `divisor` with the transform of every possible fibre.
+    """Intersect `divisor` (residual `res`) with the transform of every possible fibre.
 
     Fibres through configuration points are exactly the incidence blocks,
     each with its own class; fresh fibres through no point are checked with
     each catalog class.  Intersections with larger singular fibres through
     the same points only increase, so the minimal class is the binding one.
-
-    A fibre (a, b) through the block's points, each once, has strict
-    transform pi*(a, b) - sum_{i in block} E_i, so the pairing is
-    base.a*b + a*base.b - sum_{i in block} exc[i].
-    """
-    bq = s.b_fibre_coeff
-    fibres = [((ab.fibre_coeff, 0), ab.points, ab.kind) for ab in cfg.a_blocks]
-    fibres += [((0, bq), bb, B_FIBRE) for bb in cfg.b_blocks]
-    fibres += _fresh_fibres(s)
-    base, exc = divisor.base, divisor.exc
-    return [
-        _fibre_record(
-            base.a * b + a * base.b - sum(exc[i] for i in block), strict, what,
-            (a, b), block, kind,
-        )
-        for (a, b), block, kind in fibres
+    A fibre (c, d) through a block's points, each once, has strict transform
+    pi*(c, d) - sum_{i in block} E_i: with the divisor's base (a, b), the
+    pairing is c*b + d*a less the block's sum."""
+    a, b, bq = divisor.base.a, divisor.base.b, s.b_fibre_coeff
+    checks = [
+        _fibre_record(ab.fibre_coeff * b - total, strict, what, (ab.fibre_coeff, 0),
+                      ab.points, ab.kind)
+        for ab, total in zip(cfg.a_blocks, res.a_sums)
     ]
+    checks += [
+        _fibre_record(bq * a - total, strict, what, (0, bq), bb, B_FIBRE)
+        for bb, total in zip(cfg.b_blocks, res.b_sums)
+    ]
+    checks += [
+        _fibre_record(c * b + d * a, strict, what, (c, d), (), kind)
+        for (c, d), kind in _fresh_fibres(s)
+    ]
+    return checks
 
 
 @lru_cache(maxsize=None)
-def _fresh_fibres(s: SurfaceType) -> tuple[tuple[tuple[int, int], tuple, str], ...]:
-    """(curve, no block, kind) of each catalog fibre class of a type."""
-    return tuple((curve.to_pair(), (), kind) for curve, kind in fibre_classes(s))
+def _fresh_fibres(s: SurfaceType) -> tuple[tuple[tuple[int, int], str], ...]:
+    """(curve, kind) of each catalog fibre class of a type."""
+    return tuple((curve.to_pair(), kind) for curve, kind in fibre_classes(s))
 
 
 @lru_cache(maxsize=None)
@@ -241,7 +234,7 @@ def certify_r1(
     if base is None:
         base = default_base(k)
     cfg = JetConfiguration(k, (k + 1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),))
-    m_class = build_twist(k, cfg.weights, base)
+    m_class = _blowup(base.a, base.b, (k + 2,))
     needed = k + 2
     available = min(base.a, base.b) * SESHADRI_UNIT_BOUND
     nef = CheckRecord(
@@ -294,21 +287,21 @@ def externally_certified_k1(s: SurfaceType) -> dict:
 def verify(
     cfg: JetConfiguration, s: SurfaceType, base: DivisorClass | None = None
 ) -> Certificate:
-    """Full certificate for one configuration."""
+    """Full certificate for one configuration, from its skeleton's core."""
     if base is None:
         base = default_base(cfg.k)
     cls = classify(cfg, s)
     if cls.label == R1:
         return replace(certify_r1(cfg.k, s, base), config=cfg)
-    m_class = build_twist(cfg.k, cfg.weights, base)
-    f_class, n_class = build_correction(cfg, cls, s, m_class)
+    m_class, f_class, n_class, res = _classes(cfg, cls, s, base)
     strict = n_class is not None
     checked, what = (n_class, "N") if strict else (m_class, "M")
 
-    checks = [certify_square(checked, True, what)]
-    checks.extend(certify_fibres(checked, cfg, s, strict, what))
-    report = nonfibre.analyse(cls, checked, base, cfg.k)
-    passed = all(c.passed for c in checks) and report.passed
+    square = 2 * checked.base.a * checked.base.b - res.square
+    checks = [_square_record(square, True, what)]
+    checks.extend(certify_fibres(checked, res, cfg, s, strict, what))
+    report = nonfibre.analyse(cls, checked, base, cfg.k, res.coefs)
+    passed = all([c.passed for c in checks]) and report.passed
     return Certificate(
         surface_type=s.type_id,
         k=cfg.k,
@@ -354,25 +347,21 @@ class SweepSummary:
 
 
 def iter_certificates(
-    s: SurfaceType,
-    k: int,
-    base: DivisorClass | None = None,
-    part: slice | None = None,
+    s: SurfaceType, k: int, base: DivisorClass | None = None, part: slice | None = None
 ) -> Iterator[Certificate]:
     """Certificates for every enumerated configuration of one (type, k).
 
     `part` restricts them to a slice of k's skeleton table, as
     `enumerate_configurations` takes it.
     """
+    if base is None:
+        base = default_base(k)
     for cfg in enumerate_configurations(k, s, part=part):
         yield verify(cfg, s, base)
 
 
 def iter_reports(
-    s: SurfaceType,
-    k: int,
-    base: DivisorClass | None = None,
-    part: slice | None = None,
+    s: SurfaceType, k: int, base: DivisorClass | None = None, part: slice | None = None
 ) -> Iterator[nonfibre.NonFibreReport]:
     """The non-fibre report of every enumerated configuration but the single point.
 
@@ -384,6 +373,6 @@ def iter_reports(
     for cfg in enumerate_configurations(k, s, part=part):
         cls = classify(cfg, s)
         if cls.label != R1:
-            m_class = build_twist(k, cfg.weights, base)
-            _, n_class = build_correction(cfg, cls, s, m_class)
-            yield nonfibre.analyse(cls, m_class if n_class is None else n_class, base, k)
+            m_class, _, n_class, res = _classes(cfg, cls, s, base)
+            checked = m_class if n_class is None else n_class
+            yield nonfibre.analyse(cls, checked, base, k, res.coefs)

@@ -482,18 +482,20 @@ def _report_for_key(
 
 
 def analyse(
-    cls: Classification, checked: BlowupClass, base: DivisorClass, k: int
+    cls: Classification, checked: BlowupClass, base: DivisorClass, k: int,
+    coefs: tuple[int, ...] | None = None,
 ) -> NonFibreReport:
     """Non-fibre report for the checked class M or N (cached by arithmetic content).
 
     `checked` is pi*(base - corr) - sum c_i E_i; the report reads the sorted
-    c_i and corr = base - checked.base.
+    c_i, which the engine passes as `coefs` from the skeleton's core, and
+    corr = base - checked.base.
     """
     return _report_for_key(
         cls.label,
-        tuple(sorted(checked.exc)),
-        (base - checked.base).to_pair(),
-        base.to_pair(),
+        tuple(sorted(checked.exc)) if coefs is None else coefs,
+        (base.a - checked.base.a, base.b - checked.base.b),
+        (base.a, base.b),
         k,
         cls.shared_point is not None,
     )

@@ -7,6 +7,13 @@ closed forms, so that agreement is a real check and not a tautology.  The fully 
 reference for the package's extremal knapsack cells.  The genus-bound
 oracles (`genus_admissible`, `max_single_multiplicity`,
 `enumerate_admissible`) filter the multiplicity vectors it evaluates.
+
+The generic certificate path (`build_twist`, `build_correction`,
+`certify_square`, `certify_fibres`) builds M, F and N as `BlowupClass`
+objects from the configuration and pairs them through `blowup_intersect`;
+it is the reference for the engine's closed forms over the skeleton's
+residuals.  Its records are interned through the engine's own record
+caches, so equal checks are one object on both paths.
 """
 
 from __future__ import annotations
@@ -35,9 +42,17 @@ from hyperjet.configurations import (
     is_heavy,
     weight_partitions,
 )
+from hyperjet.engine import CheckRecord, _fibre_record, _square_record, default_base
 from hyperjet.lattice import BlowupClass, DivisorClass, blowup_intersect, intersect
 from hyperjet.nonfibre import BOUNDED_MAX
-from hyperjet.surfaces import FULL_A, INTERMEDIATE_A, SINGULAR_A, SurfaceType
+from hyperjet.surfaces import (
+    B_FIBRE,
+    FULL_A,
+    INTERMEDIATE_A,
+    SINGULAR_A,
+    SurfaceType,
+    fibre_classes,
+)
 
 
 @dataclass(frozen=True)
@@ -254,6 +269,64 @@ def threshold_classification(
             (point,) = common
             return with_b, i, j, point
     return plain, i, None, None
+
+
+def build_twist(
+    k: int, weights: tuple[int, ...], base: DivisorClass | None = None
+) -> BlowupClass:
+    """M = pi*base - sum (k_i + 1) E_i."""
+    if base is None:
+        base = default_base(k)
+    return BlowupClass(base, tuple(w + 1 for w in weights))
+
+
+def build_correction(
+    cfg: JetConfiguration, cls: Classification, s: SurfaceType, m_class: BlowupClass
+) -> tuple[BlowupClass, BlowupClass] | tuple[None, None]:
+    """The SNC correction F (strict transforms of the corrected fibres) and N = M - F.
+
+    The heavy A-fibre is corrected when it is the minimal (singular) one, and
+    the heavy B-fibre whenever there is one; a case with neither gets (None, None).
+    """
+    corr_a = cls.heavy_a is not None and cfg.a_blocks[cls.heavy_a].kind == SINGULAR_A
+    if not corr_a and cls.heavy_b is None:
+        return None, None
+    fibre, exc = DivisorClass(0, 0), [0] * cfg.r
+    if corr_a:
+        ab = cfg.a_blocks[cls.heavy_a]
+        fibre += DivisorClass(ab.fibre_coeff, 0)
+        for p in ab.points:
+            exc[p] += 1
+    if cls.heavy_b is not None:
+        fibre += DivisorClass(0, s.b_fibre_coeff)
+        for p in cfg.b_blocks[cls.heavy_b]:
+            exc[p] += 1
+    f_class = BlowupClass(fibre, tuple(exc))
+    return f_class, m_class - f_class
+
+
+def certify_square(cls_: BlowupClass, strict: bool, what: str) -> CheckRecord:
+    """The square check of a class, through the blow-up pairing."""
+    return _square_record(cls_.square(), strict, what)
+
+
+def certify_fibres(
+    divisor: BlowupClass, cfg: JetConfiguration, s: SurfaceType, strict: bool, what: str
+) -> list[CheckRecord]:
+    """The fibre checks of `divisor`, each the blow-up pairing with a strict transform.
+
+    Every A-block and B-block with its own fibre class, each point once, then
+    each catalog class through no point: the engine's order.
+    """
+    fibres = [((ab.fibre_coeff, 0), ab.points, ab.kind) for ab in cfg.a_blocks]
+    fibres += [((0, s.b_fibre_coeff), bb, B_FIBRE) for bb in cfg.b_blocks]
+    fibres += [(curve.to_pair(), (), kind) for curve, kind in fibre_classes(s)]
+    checks = []
+    for curve, block, kind in fibres:
+        indicator = tuple(int(i in block) for i in range(cfg.r))
+        value = blowup_intersect(divisor, BlowupClass(DivisorClass(*curve), indicator))
+        checks.append(_fibre_record(value, strict, what, curve, block, kind))
+    return checks
 
 
 def naive_bounded_checks(cfg: JetConfiguration, twisted: BlowupClass, strict: bool,

@@ -14,8 +14,6 @@ import pytest
 from hyperjet import lp, nonfibre, tables
 from hyperjet.configurations import classify, enumerate_configurations
 from hyperjet.engine import (
-    build_correction,
-    build_twist,
     certify_r1,
     default_base,
     iter_certificates,
@@ -28,7 +26,7 @@ from hyperjet.lattice import (
     is_ample,
 )
 from hyperjet.surfaces import catalog, surface
-from oracle_helpers import check_bounded, naive_bounded_checks
+from oracle_helpers import build_correction, build_twist, check_bounded, naive_bounded_checks
 
 K_RANGE = range(2, 9)
 TIME_BUDGET_SWEEP = 300.0

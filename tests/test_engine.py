@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from hyperjet import nonfibre
 from hyperjet.configurations import (
     ABlock,
     CASE_I,
@@ -12,11 +19,7 @@ from hyperjet.configurations import (
 from hyperjet.engine import (
     KAWAMATA_VIEHWEG,
     NORIMATSU,
-    build_correction,
-    build_twist,
-    certify_fibres,
     certify_r1,
-    certify_square,
     default_base,
     externally_certified_k1,
     iter_certificates,
@@ -24,6 +27,7 @@ from hyperjet.engine import (
 )
 from hyperjet.lattice import BlowupClass, DivisorClass, blowup_intersect
 from hyperjet.surfaces import FULL_A, SINGULAR_A, surface
+from oracle_helpers import build_correction, build_twist, certify_fibres, certify_square
 
 
 def cfg_of(k, weights, a_specs, b_blocks):
@@ -266,18 +270,57 @@ def test_light_block_checks_dominated_by_minimal_class():
 
 
 def test_fibre_closed_form_matches_blowup_pairing():
-    """Every recorded fibre value equals the blow-up pairing it stands for."""
+    """Every recorded fibre value and square equals the blow-up pairing it stands for."""
     for type_id in range(1, 8):
         for k in range(2, 5):
             for cert in iter_certificates(surface(type_id), k):
                 divisor = cert.n_class if cert.n_class is not None else cert.m_class
                 r = cert.config.r
                 for check in cert.checks:
+                    if check.kind == "square":
+                        assert check.value == blowup_intersect(divisor, divisor)
                     if check.kind != "fibre":
                         continue
                     indicator = tuple(int(i in check.block) for i in range(r))
                     transform = BlowupClass(DivisorClass(*check.curve), indicator)
                     assert check.value == blowup_intersect(divisor, transform)
+
+
+@pytest.mark.parametrize(
+    "type_id, ks, base",
+    [(t, range(2, 6), None) for t in range(1, 8)]
+    + [(t, range(2, 4), DivisorClass(3, 4)) for t in range(1, 8)],
+)
+def test_certificates_match_the_generic_path(type_id, ks, base):
+    """Each certificate equals the one the generic `BlowupClass` path assembles.
+
+    The engine reads the exceptional vectors, block sums, sorted vectors and
+    sums of squares from the skeleton's core; the oracle builds M, F and N
+    from the configuration and pairs them through `blowup_intersect`.
+    """
+    s = surface(type_id)
+    for k in ks:
+        expected_base = default_base(k) if base is None else base
+        for cert in iter_certificates(s, k, base):
+            cfg = cert.config
+            cls = classify(cfg, s)
+            m = build_twist(k, cfg.weights, expected_base)
+            assert cert.m_class == m
+            if cls.label == "R1":
+                continue
+            f, n = build_correction(cfg, cls, s, m)
+            assert (cert.f_class, cert.n_class) == (f, n)
+            strict = n is not None
+            checked, what = (n, "N") if strict else (m, "M")
+            square = certify_square(checked, True, what)
+            assert square.value == blowup_intersect(checked, checked)
+            checks = (square, *certify_fibres(checked, cfg, s, strict, what))
+            assert cert.checks == checks
+            report = nonfibre.analyse(cls, checked, expected_base, k)
+            assert cert.nonfibre_report is report
+            assert report.key.split("|")[1] == ",".join(map(str, sorted(checked.exc)))
+            assert cert.vanishing_theorem == (NORIMATSU if strict else KAWAMATA_VIEHWEG)
+            assert cert.passed == (all(c.passed for c in checks) and report.passed)
 
 
 def test_equal_fibre_checks_are_one_record():
@@ -369,3 +412,56 @@ def test_equal_square_checks_are_one_record():
     # records that differ only in strictness or in the checked divisor do not
     assert certify_square(m, False, "M") is not certify_square(m, True, "M")
     assert certify_square(m, True, "N") is not certify_square(m, True, "M")
+
+
+CORE_PROBE = """
+import contextlib, io, json
+from hyperjet import cli, configurations, engine
+from hyperjet.surfaces import surface
+
+caches = {name: f for name, f in vars(engine).items() if hasattr(f, "cache_info")}
+sweep = ["verify", "--types", "all", "--k", "2..5"]
+runs = []
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sweep) == 0
+    infos = {"memo": configurations._structure.cache_info()}
+    infos.update((name, f.cache_info()) for name, f in caches.items())
+    runs.append({name: [info.misses, info.currsize] for name, info in infos.items()})
+held = {"_fibre_record": set(), "_square_record": set(), "_blowup": set()}
+for t in range(1, 8):
+    for k in range(2, 6):
+        for cert in engine.iter_certificates(surface(t), k):
+            for check in cert.checks:
+                if check.kind in ("fibre", "square"):
+                    held["_" + check.kind + "_record"].add(id(check))
+            held["_blowup"].update(map(id, (cert.m_class, cert.f_class, cert.n_class)))
+held["_blowup"].discard(id(None))
+skeletons = sum(configurations.skeleton_count(k, k + 1) for k in range(2, 6))
+print(json.dumps({"runs": runs, "held": {n: len(v) for n, v in held.items()},
+                  "skeletons": skeletons}))
+"""
+
+
+def test_one_core_per_skeleton():
+    """A serial sweep keeps one structure-memo entry, its core, per skeleton-table entry.
+
+    Run in a fresh interpreter, so the caches hold only this sweep.  A second
+    sweep of the same scope misses no cache.  The engine's caches intern the
+    checks and classes the certificates hold, one entry per distinct value,
+    and none but the fibre checks' has more entries than the memo: at k 2..5
+    the certificates hold 1,129 distinct fibre checks, against 501 skeletons.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", CORE_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    got = json.loads(out.stdout)
+    first, second = got["runs"]
+    assert got["skeletons"] == 11 + 36 + 106 + 348
+    assert first["memo"] == [got["skeletons"], got["skeletons"]]
+    assert second == first
+    for name, held in got["held"].items():
+        assert first[name][1] == held, name
+    for name, (_, size) in first.items():
+        if name not in ("memo", "_fibre_record"):
+            assert size <= first["memo"][1], name

@@ -8,8 +8,6 @@ from hyperjet.configurations import (
     classify,
 )
 from hyperjet.engine import (
-    build_correction,
-    build_twist,
     default_base,
     iter_certificates,
     verify,
@@ -18,6 +16,8 @@ from hyperjet.lattice import BlowupClass, DivisorClass
 from hyperjet.surfaces import SINGULAR_A, surface
 from oracle_helpers import (
     CurveCandidate,
+    build_correction,
+    build_twist,
     check_bounded,
     naive_bounded_checks,
     point_offsets,
