@@ -212,7 +212,8 @@ def _config_text(config: JetConfiguration) -> str:
 
     The seven types share k's skeleton configurations, and a heavy-kind
     variant is built anew for each type, but the blocks and weight tuples
-    they are made of are few: those are what a run keeps.
+    they are made of are few: those are what a run keeps.  All are tuples
+    (an `ABlock` too), so each key hashes in C.
     """
     a_blocks = ",".join([_fragment(block, block) for block in config.a_blocks])
     b_blocks, weights = config.b_blocks, config.weights
@@ -232,7 +233,7 @@ def _certificate_line(cert: engine.Certificate) -> str:
     key = report.key if report else None
     a, b = cert.base.to_pair()
     checks = ",".join([_fragment(id(check), check) for check in cert.checks])
-    seshadri = cert.seshadri_axiom
+    seshadri, theorem = cert.seshadri_axiom, cert.vanishing_theorem
     return (
         f'{{"base":[{a},{b}],"checks":[{checks}],"config":{_config_text(cert.config)},'
         f'"f_class":{_fragment(id(cert.f_class), cert.f_class)},"k":{cert.k},'
@@ -242,7 +243,7 @@ def _certificate_line(cert: engine.Certificate) -> str:
         f'"nonfibre_ref":{_fragment(key, key)},"pass":{_json_bool(cert.passed)},'
         f'"seshadri_axiom":{"null" if seshadri is None else _dump(seshadri)},'
         f'"snc_axiom":{_json_bool(cert.snc_axiom)},"surface_type":{cert.surface_type},'
-        f'"vanishing_theorem":{_fragment(cert.vanishing_theorem, cert.vanishing_theorem)}}}\n'
+        f'"vanishing_theorem":{_fragment(theorem, theorem)}}}\n'
     )
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .surfaces import INTERMEDIATE_A, SINGULAR_A, SurfaceType
 
@@ -43,9 +43,11 @@ SING_M_A = "SingM-a"
 SING_M_B = "SingM-b"
 
 
-@dataclass(frozen=True, slots=True)
-class ABlock:
-    """Points sharing one fibre of the first fibration, with the fibre's kind."""
+class ABlock(NamedTuple):
+    """Points sharing one fibre of the first fibration, with the fibre's kind.
+
+    A tuple, so it hashes in C: the engine interns fibre checks and a bundle
+    keys its text by A-block."""
 
     points: tuple[int, ...]
     kind: str
@@ -209,12 +211,12 @@ def _interned(value):
     return value
 
 
-@dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(NamedTuple):
     label: str
     heavy_a: int | None = None  # index into cfg.a_blocks
     heavy_b: int | None = None  # index into cfg.b_blocks
     shared_point: int | None = None  # unique point in the heavy pair, if any
+    core: Core | None = None  # the structure's, as `classify` read it
 
 
 def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
@@ -224,7 +226,8 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
     other configuration requires k >= 2: 1-jet ampleness of (3,3) is
     certified externally, so k = 1 never reaches the case analysis.  The
     heavy blocks come from the structure memo; the type adds which A-fibres
-    exist (`SurfaceType.a_fibres`) and whether B-blocks count.
+    exist (`SurfaceType.a_fibres`) and whether B-blocks count.  The result
+    carries the core, so a certificate looks its structure up once.
     """
     st = cfg.validate()
     for ab in cfg.a_blocks:
@@ -233,7 +236,7 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
                 f"type {s.type_id} has no {ab.kind} fibre with coefficient {ab.fibre_coeff}"
             )
     if cfg.r == 1:
-        return Classification(R1)
+        return Classification(R1, None, None, None, st)
     if cfg.k < 2:
         raise ValueError(
             "classification requires k >= 2 (k = 1 is certified externally "
@@ -244,12 +247,12 @@ def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
     # and the b-variant labels and IV do not occur.
     if st.heavy_a is None:
         if s.has_unit_b_class and st.heavy_b is not None:
-            return Classification(CASE_IV, None, st.heavy_b, None)
-        return Classification(CASE_I)
+            return Classification(CASE_IV, None, st.heavy_b, None, st)
+        return Classification(CASE_I, None, None, None, st)
     kind = cfg.a_blocks[st.heavy_a].kind
     if not s.has_unit_b_class or st.heavy_b is None:
-        return Classification(_a_label(kind, False), st.heavy_a)
-    return Classification(_a_label(kind, True), st.heavy_a, st.heavy_b, st.shared_point)
+        return Classification(_a_label(kind, False), st.heavy_a, None, None, st)
+    return Classification(_a_label(kind, True), st.heavy_a, st.heavy_b, st.shared_point, st)
 
 
 def _a_label(kind: str, with_heavy_b: bool) -> str:
@@ -309,9 +312,10 @@ def _multiset_block_partitions(ms: tuple[int, ...]) -> list[tuple[tuple[int, ...
     return sorted(results, reverse=True)
 
 
-def _normal_form(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Fixpoint of row/column descending sorts; key for isomorphism dedup."""
-    m = [list(r) for r in rows]
+def _normal_form(m: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Fixpoint of row/column descending sorts; key for isomorphism dedup.
+
+    Sorts the rows of `m` in place."""
     for _ in range(12):
         m.sort(reverse=True)
         cols = sorted(zip(*m), reverse=True)
@@ -337,16 +341,11 @@ def incidence_structures(weights: tuple[int, ...]) -> tuple[tuple[tuple[int, ...
         col_rows: list[set[int]] = []
 
         def emit() -> None:
-            q = len(cols)
-            rows = []
-            for ri in range(len(ablocks)):
-                row = [0] * q
-                for ci in range(q):
-                    for rj, w in cols[ci]:
-                        if rj == ri:
-                            row[ci] = w
-                rows.append(tuple(row))
-            out.add(_normal_form(tuple(rows)))
+            rows = [[0] * len(cols) for _ in ablocks]
+            for ci, col in enumerate(cols):
+                for ri, w in col:
+                    rows[ri][ci] = w
+            out.add(_normal_form(rows))
 
         def rec(i: int) -> None:
             if i == len(points):

@@ -20,15 +20,26 @@ from L^2 - (k+2)^2 > 0.  All arithmetic is exact.
 Once per skeleton, for all types, heavy-kind variants and bases, the structure
 memo (`JetConfiguration.validate`) keeps its `Core`: M's exceptional vector and,
 for each set of corrected fibres it allows, F's and N's, their block sums, sorted
-vectors and sums of squares.  Per certificate, `verify` classifies, picks the
-residual of the corrected fibres and computes the square 2ab less the sum of
-squares and each fibre value c*b less the block's sum.  M, F and N are memoized
-by value.
+vectors and sums of squares.  Per certificate, `verify` pays only for what
+differs between certificates:
+
+* one memo lookup: `classify` reads the core and hands it on in the
+  `Classification`, and `verify` picks the residual of the corrected fibres;
+* M, F and N, memoized by value;
+* the square 2ab less the sum of squares and each block's fibre value, c*b
+  (d*a for a B-fibre) less the block's sum, each interned as a record by its
+  value, strictness, divisor and fibre (an `ABlock`, or a B-block's (points,
+  kind, coefficient)); the fresh fibres' records are one memoized tuple per
+  type, checked base, strictness and divisor;
+* the verdict: a record decides its own once, when it is made, so a
+  certificate's reads the report's and its records' verdicts;
+* a `Certificate` of what it cannot derive: k, the vanishing theorem and the
+  axioms follow from the configuration, N and the label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
@@ -43,7 +54,7 @@ from .configurations import (
     enumerate_configurations,
 )
 from .lattice import BlowupClass, DivisorClass, intersect
-from .surfaces import B_FIBRE, SINGULAR_A, SurfaceType, fibre_classes
+from .surfaces import B_FIBRE, SINGULAR_A, SurfaceType
 
 KAWAMATA_VIEHWEG = "KawamataViehweg"
 NORIMATSU = "Norimatsu"
@@ -60,7 +71,8 @@ class CheckRecord:
 
     Square and fibre checks name the checked divisor ("M" or "N") and, for a
     fibre, its kind; their description is rendered from these fields.  The
-    single-point checks carry their text as built.
+    single-point checks carry their text as built.  The verdict is decided
+    once, when the record is made.
     """
 
     kind: str  # "square" | "fibre" | "nef-threshold" | "bigness"
@@ -71,10 +83,10 @@ class CheckRecord:
     block: tuple[int, ...] | None = None
     fibre: str | None = None
     text: str | None = None
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.value > 0 if self.strict else self.value >= 0
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.value > 0 if self.strict else self.value >= 0)
 
     @property
     def description(self) -> str:
@@ -104,22 +116,49 @@ class CheckRecord:
         return obj
 
 
-@dataclass(frozen=True)
+_SESHADRI_AXIOM = {
+    "axiom": "seshadri-unit-lower-bound",
+    "statement": "eps((1,1), x) >= 1 at every point",
+    "bound": SESHADRI_UNIT_BOUND,
+}
+
+
+@dataclass
 class Certificate:
+    """One configuration's certificate, holding only what its case computed.
+
+    k, the vanishing theorem, the SNC axiom and the Seshadri axiom follow from
+    the configuration, N and the label: a case that corrects a fibre has N,
+    rests on Norimatsu's vanishing and records F as SNC by axiom; the single
+    point rests on the Seshadri axiom.
+    """
+
     surface_type: int
-    k: int
     base: DivisorClass
     config: JetConfiguration
     label: str
-    vanishing_theorem: str
     m_class: BlowupClass
     f_class: BlowupClass | None
     n_class: BlowupClass | None
     checks: tuple[CheckRecord, ...]
     nonfibre_report: nonfibre.NonFibreReport | None
-    snc_axiom: bool
-    seshadri_axiom: dict | None
     passed: bool
+
+    @property
+    def k(self) -> int:
+        return self.config.k
+
+    @property
+    def snc_axiom(self) -> bool:
+        return self.n_class is not None
+
+    @property
+    def vanishing_theorem(self) -> str:
+        return KAWAMATA_VIEHWEG if self.n_class is None else NORIMATSU
+
+    @property
+    def seshadri_axiom(self) -> dict | None:
+        return dict(_SESHADRI_AXIOM) if self.label == R1 else None
 
     def to_json(self) -> dict:
         return {
@@ -150,9 +189,10 @@ def _classes(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
 ) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None, Residual]:
     """M, the SNC correction F, N = M - F and the checked class's residual, from the
-    skeleton's core.  F corrects the heavy A-fibre when it is the minimal (singular)
-    one and the heavy B-fibre if any; a case with neither has F = N = None."""
-    core = cfg.validate()
+    core the classification carries.  F corrects the heavy A-fibre when it is the
+    minimal (singular) one and the heavy B-fibre if any; a case with neither has
+    F = N = None."""
+    core = cls.core
     heavy = None if cls.heavy_a is None else cfg.a_blocks[cls.heavy_a]
     corr_a, corr_b = heavy is not None and heavy.kind == SINGULAR_A, cls.heavy_b is not None
     res = core.residual(corr_a, corr_b)
@@ -185,38 +225,47 @@ def certify_fibres(
     pairing is c*b + d*a less the block's sum."""
     a, b, bq = divisor.base.a, divisor.base.b, s.b_fibre_coeff
     checks = [
-        _fibre_record(ab.fibre_coeff * b - total, strict, what, (ab.fibre_coeff, 0),
-                      ab.points, ab.kind)
+        _fibre_record(ab.fibre_coeff * b - total, strict, what, ab)
         for ab, total in zip(cfg.a_blocks, res.a_sums)
     ]
     checks += [
-        _fibre_record(bq * a - total, strict, what, (0, bq), bb, B_FIBRE)
+        _fibre_record(bq * a - total, strict, what, (bb, B_FIBRE, bq))
         for bb, total in zip(cfg.b_blocks, res.b_sums)
     ]
-    checks += [
-        _fibre_record(c * b + d * a, strict, what, (c, d), (), kind)
-        for (c, d), kind in _fresh_fibres(s)
-    ]
+    checks += _fresh_records(s.fresh_fibres, a, b, strict, what)
     return checks
 
 
 @lru_cache(maxsize=None)
-def _fresh_fibres(s: SurfaceType) -> tuple[tuple[tuple[int, int], str], ...]:
-    """(curve, kind) of each catalog fibre class of a type."""
-    return tuple((curve.to_pair(), kind) for curve, kind in fibre_classes(s))
+def _fresh_records(
+    fibres: tuple[tuple[tuple[()], str, int], ...], a: int, b: int, strict: bool, what: str
+) -> tuple[CheckRecord, ...]:
+    """The records of a type's fresh fibres (`SurfaceType.fresh_fibres`) against a
+    class of base (a, b): one tuple per type, checked base, strictness and divisor."""
+    records = []
+    for fibre in fibres:
+        _, kind, c = fibre
+        records.append(_fibre_record(c * (a if kind == B_FIBRE else b), strict, what, fibre))
+    return tuple(records)
 
 
 @lru_cache(maxsize=None)
 def _fibre_record(
-    value: int,
-    strict: bool,
-    divisor: str,
-    curve: tuple[int, int],
-    block: tuple[int, ...],
-    fibre: str,
+    value: int, strict: bool, divisor: str, fibre: tuple[tuple[int, ...], str, int]
 ) -> CheckRecord:
-    """One record per distinct fibre check: equal checks are one object."""
-    return CheckRecord("fibre", value, strict, divisor, curve, block, fibre)
+    """One record per distinct fibre check: equal checks are one object.
+
+    `fibre` is (points, kind, coefficient), as an `ABlock` is: the class is
+    coefficient*(0, 1) for a B-fibre and coefficient*(1, 0) otherwise."""
+    points, kind, c = fibre
+    curve = _curve(0, c) if kind == B_FIBRE else _curve(c, 0)
+    return CheckRecord("fibre", value, strict, divisor, curve, points, kind)
+
+
+@lru_cache(maxsize=None)
+def _curve(c: int, d: int) -> tuple[int, int]:
+    """The fibre class (c, d), one tuple per value for all records."""
+    return c, d
 
 
 def certify_r1(
@@ -234,8 +283,12 @@ def certify_r1(
     if base is None:
         base = default_base(k)
     cfg = JetConfiguration(k, (k + 1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),))
-    m_class = _blowup(base.a, base.b, (k + 2,))
-    needed = k + 2
+    return _r1_certificate(cfg, s, base)
+
+
+def _r1_certificate(cfg: JetConfiguration, s: SurfaceType, base: DivisorClass) -> Certificate:
+    """The single-point certificate of `cfg` (any k >= 0) against `base`."""
+    needed = cfg.k + 2
     available = min(base.a, base.b) * SESHADRI_UNIT_BOUND
     nef = CheckRecord(
         "nef-threshold",
@@ -251,26 +304,9 @@ def certify_r1(
         True,
         text=f"L^2 - (k+2)^2 = {lsq} - {needed * needed}",
     )
-    return Certificate(
-        surface_type=s.type_id,
-        k=k,
-        base=base,
-        config=cfg,
-        label=R1,
-        vanishing_theorem=KAWAMATA_VIEHWEG,
-        m_class=m_class,
-        f_class=None,
-        n_class=None,
-        checks=(nef, big),
-        nonfibre_report=None,
-        snc_axiom=False,
-        seshadri_axiom={
-            "axiom": "seshadri-unit-lower-bound",
-            "statement": "eps((1,1), x) >= 1 at every point",
-            "bound": SESHADRI_UNIT_BOUND,
-        },
-        passed=nef.passed and big.passed,
-    )
+    m_class = _blowup(base.a, base.b, (needed,))
+    return Certificate(s.type_id, base, cfg, R1, m_class, None, None, (nef, big), None,
+                       nef.passed and big.passed)
 
 
 def externally_certified_k1(s: SurfaceType) -> dict:
@@ -292,32 +328,16 @@ def verify(
         base = default_base(cfg.k)
     cls = classify(cfg, s)
     if cls.label == R1:
-        return replace(certify_r1(cfg.k, s, base), config=cfg)
+        return _r1_certificate(cfg, s, base)
     m_class, f_class, n_class, res = _classes(cfg, cls, s, base)
     strict = n_class is not None
     checked, what = (n_class, "N") if strict else (m_class, "M")
-
-    square = 2 * checked.base.a * checked.base.b - res.square
-    checks = [_square_record(square, True, what)]
-    checks.extend(certify_fibres(checked, res, cfg, s, strict, what))
+    checks = [_square_record(2 * checked.base.a * checked.base.b - res.square, True, what)]
+    checks += certify_fibres(checked, res, cfg, s, strict, what)
     report = nonfibre.analyse(cls, checked, base, cfg.k, res.coefs)
-    passed = all([c.passed for c in checks]) and report.passed
-    return Certificate(
-        surface_type=s.type_id,
-        k=cfg.k,
-        base=base,
-        config=cfg,
-        label=cls.label,
-        vanishing_theorem=NORIMATSU if strict else KAWAMATA_VIEHWEG,
-        m_class=m_class,
-        f_class=f_class,
-        n_class=n_class,
-        checks=tuple(checks),
-        nonfibre_report=report,
-        snc_axiom=strict,
-        seshadri_axiom=None,
-        passed=passed,
-    )
+    passed = report.passed and all([c.passed for c in checks])
+    return Certificate(s.type_id, base, cfg, cls.label, m_class, f_class, n_class,
+                       tuple(checks), report, passed)
 
 
 @dataclass

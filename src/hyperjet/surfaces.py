@@ -43,12 +43,12 @@ class SurfaceType:
         if self.gamma % self.mu != 0:
             raise ValueError(f"type {self.type_id}: mu must divide gamma")
 
-    @property
+    @cached_property
     def b_fibre_coeff(self) -> int:
         """Second coordinate of the class of a fibre B, i.e. gamma/mu."""
         return self.gamma // self.mu
 
-    @property
+    @cached_property
     def has_unit_b_class(self) -> bool:
         """True iff (0, 1) is effective, i.e. mu == gamma (odd types)."""
         return self.mu == self.gamma
@@ -71,6 +71,14 @@ class SurfaceType:
         """
         inter = tuple((INTERMEDIATE_A, m) for m in self.intermediate_fibre_coeffs)
         return ((SINGULAR_A, 1), *inter, (FULL_A, self.mu))
+
+    @cached_property
+    def fresh_fibres(self) -> tuple[tuple[tuple[()], str, int], ...]:
+        """Each of `fibre_classes` as a fibre through no point: (points, kind,
+        coefficient), the class being coefficient*(1, 0), or *(0, 1) for B."""
+        return tuple(
+            ((), kind, cls.b if kind == B_FIBRE else cls.a) for cls, kind in fibre_classes(self)
+        )
 
     def to_json(self) -> dict:
         classes = [

@@ -325,7 +325,10 @@ def certify_fibres(
     for curve, block, kind in fibres:
         indicator = tuple(int(i in block) for i in range(cfg.r))
         value = blowup_intersect(divisor, BlowupClass(DivisorClass(*curve), indicator))
-        checks.append(_fibre_record(value, strict, what, curve, block, kind))
+        coeff = curve[1] if kind == B_FIBRE else curve[0]
+        record = _fibre_record(value, strict, what, (block, kind, coeff))
+        assert (record.curve, record.block, record.fibre) == (curve, block, kind)
+        checks.append(record)
     return checks
 
 

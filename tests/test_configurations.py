@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hyperjet.configurations import (
     SING_M_A,
     SING_M_B,
     JetConfiguration,
+    _skeletons,
     classify,
     enumerate_configurations,
     incidence_structures,
@@ -337,3 +340,23 @@ def test_r_max_cap():
     # the removed r_max is not silently read as a part
     with pytest.raises(TypeError):
         enumerate_configurations(4, surface(1), 2)
+
+
+# sha256 of each k's skeleton table, every entry as [configuration JSON,
+# heavy A-row], encoded by json.dumps with sorted keys
+SKELETON_DIGESTS = {
+    2: (11, "3b418e191385f032642f73bb3cfdd70cbb544e23b2e7598c0b47120e9a86710c"),
+    3: (36, "1d1799bee055caccf7b319167ac03fb74b5d6707cc041567c2e842b7a7c8bb0a"),
+    4: (106, "d4c8ebc2bd60451ad370c573a037338cde743d01005641f3ca312b594df55b81"),
+    5: (348, "f103d0a5acfe4bb30911deb55f3e8a4e359ff5d055d9c2a354a37b334e0cf761"),
+    6: (1103, "3afedc140e139ea7fc646f28d417e04561acca4120a5c34f8db3939119f6115c"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(SKELETON_DIGESTS))
+def test_skeleton_tables_are_pinned(k):
+    """The labelled skeleton tables, order and heavy rows included, do not change
+    when the way they are built does."""
+    configs, heavy = _skeletons(k)
+    text = json.dumps([[c.to_json(), h] for c, h in zip(configs, heavy)], sort_keys=True)
+    assert (len(configs), hashlib.sha256(text.encode()).hexdigest()) == SKELETON_DIGESTS[k]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperjet import nonfibre
+from hyperjet import cli, nonfibre
 from hyperjet.configurations import (
     ABlock,
     CASE_I,
@@ -465,3 +465,60 @@ def test_one_core_per_skeleton():
     for name, (_, size) in first.items():
         if name not in ("memo", "_fibre_record"):
             assert size <= first["memo"][1], name
+
+
+HITS_PROBE = """
+import contextlib, io, json
+from hyperjet import cli, configurations
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["verify", "--types", "all", "--k", "2..5", "--format", "json"]) == 0
+info = configurations._structure.cache_info()
+print(json.dumps({"hits": info.hits, "certificates": json.loads(out.getvalue())["total"]}))
+"""
+
+
+def test_one_structure_lookup_per_certificate():
+    """A serial sweep looks each certificate's structure up in the memo at most once.
+
+    Run in a fresh interpreter, so the memo's hits are this sweep's: building
+    the skeleton tables only misses, and `classify` hands the core it read to
+    the rest of `verify`.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", HITS_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    got = json.loads(out.stdout)
+    assert got["certificates"] == 5201
+    assert 0 < got["hits"] <= got["certificates"]
+
+
+def assert_verdicts(cert):
+    """Each record's stored verdict and the certificate's agree with the values."""
+    for check in cert.checks:
+        assert check.passed == (check.value > 0 if check.strict else check.value >= 0)
+        assert check.to_json()["pass"] is check.passed
+    report = cert.nonfibre_report
+    assert cert.passed == (all(c.passed for c in cert.checks)
+                           and (report is None or report.passed))
+    assert cert.to_json()["pass"] is cert.passed
+
+
+def test_stored_verdicts_match_the_values():
+    """Records decide their verdict once, when interned; so does a certificate.
+
+    Every record a k 2..5 sweep holds, and every certificate of the negative
+    control `--class 3,4 --k 2`, whose deficient base fails checks by design.
+    """
+    for type_id in range(1, 8):
+        for k in range(2, 6):
+            for cert in iter_certificates(surface(type_id), k):
+                assert_verdicts(cert)
+    control = cli.build_run_config(["negative-control", "--class", "3,4", "--k", "2"])
+    certs = [cert for task in cli._tasks(control, False)
+             for cert in iter_certificates(*cli._scope(task))]
+    for cert in certs:
+        assert_verdicts(cert)
+    assert certs and not any(cert.passed for cert in certs)
+    verdicts = {c.passed for cert in certs for c in cert.checks}
+    assert verdicts == {False, True}
