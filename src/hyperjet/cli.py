@@ -144,8 +144,8 @@ def _dump(obj: object) -> str:
     return _ENCODER.encode(obj)
 
 
-# skeleton-table entries per task: a process holds, and a pool worker sends,
-# a bounded slice of a (type, k) at a time
+# skeleton-table entries per task: a process holds, and a `--jobs` worker
+# sends, a bounded slice of a (type, k) at a time
 SHARD_SKELETONS = 128
 
 
@@ -163,8 +163,8 @@ def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
     """Each (type, k) in scope as consecutive slices of at most SHARD_SKELETONS entries.
 
     The slices end at the point cap, clamped per k.  Each k's skeleton table
-    is built here, so pool workers forked afterwards inherit it instead of
-    building it again.
+    is built here, so `--jobs` workers forked afterwards inherit it instead
+    of building it again.
     """
     return [
         Task(t, k, cfg.base_class, lines, slice(start, min(start + SHARD_SKELETONS, count)))
@@ -186,12 +186,12 @@ def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, slice]:
 
 # The text of each fragment of a bundle line this process has encoded in the
 # current run, with the object it encodes; emptied at the start of every run
-# (before a pool forks, so every worker starts with nothing).  Check records,
-# classes and unbounded reports, which the engine and the report cache share
-# between certificates (one object per value), are keyed by id (the entry
-# holds the object, so its id cannot be reused).  Everything else is keyed by
-# value: A-blocks, block and weight tuples, strings and None.  No value key is
-# an int, so the two kinds of key never meet.
+# (before any worker forks, so every worker starts with nothing).  Check
+# records, classes and unbounded reports, which the engine and the report
+# cache share between certificates (one object per value), are keyed by id
+# (the entry holds the object, so its id cannot be reused).  Everything else
+# is keyed by value: A-blocks, block and weight tuples, strings and None.  No
+# value key is an int, so the two kinds of key never meet.
 _fragments: dict[object, tuple[object, str]] = {}
 
 # the keys of the reports whose lines this process has made in the current run
@@ -264,9 +264,10 @@ def _report_line(report: nonfibre.NonFibreReport) -> str:
 
 
 Part = str | tuple[str, str]
+Result = tuple[dict[str, list[int]], list[Part]]
 
 
-def _task_certs(task: Task) -> tuple[dict[str, list[int]], list[Part]]:
+def _task_certs(task: Task) -> Result:
     """A task's tally, a [count, failed] per label, and its bundle text.
 
     Text is made only for a bundle.  A report comes as (key, line), before
@@ -292,29 +293,98 @@ def _task_certs(task: Task) -> tuple[dict[str, list[int]], list[Part]]:
     return tally, parts
 
 
-def Pool(processes: int):
-    """`multiprocessing.Pool`, with the module imported only when a pool starts."""
-    import multiprocessing
+def _owners(tasks: list[Task], jobs: int) -> list[int]:
+    """The worker of each task under `--jobs`: units dealt round-robin in task order.
 
-    return multiprocessing.Pool(processes)
+    A unit is a distinct (k, part.start), one slice of k's skeleton table.
+    Numbered from 0 as they first appear, unit n goes to worker n mod
+    `jobs`, with its task for every type, so the reports the types share at
+    those skeletons are analysed in one process.
+    """
+    units: dict[tuple[int, int], int] = {}
+    return [units.setdefault((t.k, t.part.start), len(units) % jobs) for t in tasks]
 
 
-def _iter_sweep(
-    cfg: RunConfig, lines: bool
-) -> Iterator[tuple[dict[str, list[int]], list[Part]]]:
+@contextlib.contextmanager
+def _worker(tasks: list[Task]) -> Iterator[Iterator[Result]]:
+    """A forked process running `_task_certs` over `tasks`: their results, in order.
+
+    The child pickles each result down its own pipe as soon as it has it, so
+    it blocks once the pipe is full, and stops at the first task that
+    raises, sending the exception instead; `next` raises it again in the
+    parent.  The child ends in `os._exit`, so it never flushes a buffer it
+    inherited (the bundle header among them).  Leaving the context reaps
+    it, killing it first if the parent stops before reading every result.
+    """
+    # imported here, so that a serial run does not load them
+    import pickle
+    import signal
+
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: never returns
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                try:
+                    for task in tasks:
+                        result = (True, _task_certs(task))
+                        pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                        pipe.flush()
+                    code = 0
+                except Exception as exc:
+                    pipe.write(pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL))
+        finally:
+            os._exit(code)
+    os.close(write)
+
+    def results() -> Iterator[Result]:
+        for _ in tasks:
+            try:
+                ok, result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(
+                    f"--jobs worker {pid} ended before sending all its results"
+                ) from None
+            if not ok:
+                raise result
+            yield result
+
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            yield results()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)  # busy with a task, or blocked on the closed pipe
+        raise
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _iter_sweep(cfg: RunConfig, lines: bool) -> Iterator[Result]:
     """(tally, bundle text) per task, in order, from `_task_certs`.
 
-    A serial run maps it over the tasks; with `--jobs`, a pool `imap`s it.
+    A serial run maps it over the tasks.  With `--jobs`, each worker that
+    `_owners` plans (at most one per unit) runs its own tasks, and the
+    parent reads the results back in task order: it holds one task's text
+    at a time, and a worker that gets ahead waits on its pipe.
     """
     _sent.clear()
     _fragments.clear()
     tasks = _tasks(cfg, lines)
-    jobs = min(cfg.jobs, len(tasks))
-    if jobs <= 1:
+    owners = _owners(tasks, cfg.jobs)
+    jobs = max(owners, default=0) + 1
+    if jobs == 1:
         yield from map(_task_certs, tasks)
-    else:
-        with Pool(jobs) as pool:
-            yield from pool.imap(_task_certs, tasks)
+        return
+    nonfibre.implication_battery()  # built once, for every worker to inherit
+    with contextlib.ExitStack() as stack:
+        results = [
+            stack.enter_context(_worker([t for t, o in zip(tasks, owners) if o == w]))
+            for w in range(jobs)
+        ]
+        for owner in owners:
+            yield next(results[owner])
 
 
 def _run_config_json(cfg: RunConfig) -> dict:
@@ -333,17 +403,19 @@ def run_verify(cfg: RunConfig, stream: IO[str] | None) -> engine.SweepSummary:
     if stream:
         header = {"kind": "header", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**header, "run": _run_config_json(cfg)}) + "\n")
-    for tally, parts in _iter_sweep(cfg, stream is not None):
-        for part in parts:  # none without a bundle
-            if isinstance(part, str):
-                stream.write(part)
-            elif part[0] not in seen_reports:
-                seen_reports.add(part[0])
-                stream.write(part[1])
-        summary.merge(tally)
-        if stream:
-            stream.flush()
-        del tally, parts  # a task's whole result: free it before waiting for the next
+    # closed on the way out, so that a failed write also ends the workers
+    with contextlib.closing(_iter_sweep(cfg, stream is not None)) as results:
+        for tally, parts in results:
+            for part in parts:  # none without a bundle
+                if isinstance(part, str):
+                    stream.write(part)
+                elif part[0] not in seen_reports:
+                    seen_reports.add(part[0])
+                    stream.write(part[1])
+            summary.merge(tally)
+            if stream:
+                stream.flush()
+            del tally, parts  # a task's whole result: free it before waiting for the next
     if stream:
         closing = {"kind": "summary", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**closing, **summary.to_json()}) + "\n")

@@ -1,13 +1,19 @@
 import argparse
+import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import re
+import select
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from hyperjet import cli, engine, nonfibre
 from hyperjet.cli import main
@@ -39,20 +45,29 @@ def assert_reports_precede_use(lines):
             assert obj["nonfibre_ref"] in seen
 
 
-class InlinePool:
-    """A stand-in for `cli.Pool` that runs the tasks in this process."""
+def inline_worker(tasks):
+    """A stand-in for `cli._worker` that runs each task in this process when it is read."""
+    return contextlib.nullcontext(map(cli._task_certs, tasks))
 
-    def __init__(self, processes):
-        self.processes = processes
 
-    def __enter__(self):
-        return self
+def record_forks(monkeypatch):
+    """The pids of the processes forked from here on, in a list that grows."""
+    pids, fork = [], os.fork
 
-    def __exit__(self, *exc):
-        return False
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def imap(self, fn, items):
-        return map(fn, items)
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no such child: it was waited for
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_catalog_text(capsys):
@@ -445,20 +460,37 @@ def test_table_matrix_builds_no_certificates(capsys, monkeypatch):
     assert calls  # the counter sees the certificate path
 
 
-def test_jobs_are_capped_at_the_task_count(capsys, monkeypatch):
-    sizes = []
+def test_jobs_are_capped_at_the_unit_count(capsys, monkeypatch):
+    workers = []
 
-    class SizedPool(InlinePool):
-        def __init__(self, processes):
-            sizes.append(processes)
+    def counted(tasks):
+        workers.append(tasks)
+        return inline_worker(tasks)
 
-    monkeypatch.setattr(cli, "Pool", SizedPool)
-    code, _, _ = run_cli(capsys, "verify", "--types", "1", "--k", "2", "--jobs", "8")
-    assert code == 0 and sizes == []  # one task: the serial path
-    code, _, _ = run_cli(
-        capsys, "verify", "--types", "1", "--k", "2..3", "--jobs", "8"
-    )
-    assert code == 0 and sizes == [2]
+    monkeypatch.setattr(cli, "_worker", counted)
+    for types in ("1", "1,2"):  # one unit, k 2, shared by the types: the serial path
+        code, _, _ = run_cli(capsys, "verify", "--types", types, "--k", "2", "--jobs", "8")
+        assert code == 0 and workers == [], types
+    for types in ("1", "1,2"):  # two units, k 2 and k 3
+        workers.clear()
+        code, _, _ = run_cli(
+            capsys, "verify", "--types", types, "--k", "2..3", "--jobs", "8"
+        )
+        assert code == 0 and len(workers) == 2, types
+        assert [{t.k for t in tasks} for tasks in workers] == [{2}, {3}], types
+
+
+def test_owners_deal_each_unit_to_one_worker_round_robin():
+    tasks = cli._tasks(cli.RunConfig("verify", k_max=6), False)
+    # units in task order: the (k, slice start) pairs of the first type
+    units = list(dict.fromkeys((t.k, t.part.start) for t in tasks))
+    assert len(tasks) == 7 * len(units) and len(units) > 3
+    for jobs in (1, 2, 3, len(units) + 1):
+        plan = {}
+        for task, owner in zip(tasks, cli._owners(tasks, jobs), strict=True):
+            # every type's slice of a unit goes to the same worker
+            assert plan.setdefault((task.k, task.part.start), owner) == owner, jobs
+        assert [plan[unit] for unit in units] == [i % jobs for i in range(len(units))]
 
 
 def test_serial_run_calls_the_task_function_once_per_task(monkeypatch):
@@ -506,9 +538,9 @@ def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
     counting(ABlock, blocks, lambda b: b)
     counting(BlowupClass, classes, lambda c: c)
     counting(nonfibre.UnboundedReport, unbounded, id)
-    monkeypatch.setattr(cli, "Pool", InlinePool)
+    monkeypatch.setattr(cli, "_worker", inline_worker)
     bundle = tmp_path / "certs.jsonl"
-    # serially, then through the in-process pool: one cache for the whole run,
+    # serially, then through in-process workers: one cache for the whole run,
     # so the fibre records that types 1 and 3 share at each k are encoded once
     for jobs in ("1", "2"):
         for counts in (encoded, checks, configs, blocks, tuples, classes, unbounded):
@@ -559,11 +591,108 @@ def test_runs_in_one_process_start_with_fresh_encoders(capsys, tmp_path, monkeyp
     serial, inline, forked = (tmp_path / f"{n}.jsonl" for n in range(3))
     run_cli(capsys, *argv, "--out", str(serial))
     with monkeypatch.context() as m:
-        m.setattr(cli, "Pool", InlinePool)
+        m.setattr(cli, "_worker", inline_worker)
         run_cli(capsys, *argv, "--jobs", "2", "--out", str(inline))
     run_cli(capsys, *argv, "--jobs", "2", "--out", str(forked))
     assert serial.read_bytes() == inline.read_bytes() == forked.read_bytes()
     assert_reports_precede_use(serial.read_text().splitlines())
+
+
+def test_a_failing_task_in_a_worker_ends_the_run_as_serially(capsys, tmp_path, monkeypatch):
+    forked = record_forks(monkeypatch)
+    task_certs = cli._task_certs
+
+    def failing(task):  # forked workers inherit it
+        if (task.type_id, task.k) == (2, 3):
+            raise ValueError("no certificates for type 2 at k 3")
+        if (task.type_id, task.k) == (2, 4):  # the next task: a serial run stops before it
+            time.sleep(60)
+        return task_certs(task)
+
+    monkeypatch.setattr(cli, "_task_certs", failing)
+    bundles = []
+    for jobs in ("1", "2"):
+        bundles.append(tmp_path / f"jobs{jobs}.jsonl")
+        start = time.monotonic()
+        code, out, err = run_cli(capsys, "verify", "--types", "1,2", "--k", "2..4",
+                                 "--jobs", jobs, "--out", str(bundles[-1]))
+        # the other worker, busy with the next task, is killed, not waited for
+        assert time.monotonic() - start < 30, jobs
+        assert code == 2 and out == "", jobs
+        assert json.loads(err) == {"error": {
+            "type": "ValueError", "message": "no certificates for type 2 at k 3"}}, jobs
+    # the tasks before the failing one, written once each, the header once
+    assert bundles[0].read_bytes() == bundles[1].read_bytes()
+    assert bundles[1].read_text().count('"kind":"header"') == 1
+    assert len(forked) == 2
+    assert_reaped(forked)
+
+
+def test_no_worker_outlives_a_run(capsys, tmp_path, monkeypatch):
+    forked = record_forks(monkeypatch)
+    argv = ("verify", "--types", "1,7", "--k", "2..5", "--jobs", "3")
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "certs.jsonl"))
+    assert code == 0 and len(forked) == 3
+    assert_reaped(forked)
+    # a bundle write that fails (the first flush, after the first task)
+    forked.clear()
+    code, _, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert code == 2 and json.loads(err)["error"]["type"] == "OSError"
+    assert len(forked) == 3
+    assert_reaped(forked)
+
+
+class BrokenStream(io.StringIO):
+    """A bundle stream whose reader leaves after the first `writes` writes."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        self.writes -= 1
+        if self.writes < 0:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+def test_a_parent_that_stops_early_reaps_its_workers(monkeypatch):
+    forked = record_forks(monkeypatch)
+    cfg = cli.RunConfig("verify", surface_types=(1, 7), k_max=5, jobs=2)
+    for writes in (3, 1_000):  # in the first task, or after some
+        forked.clear()
+        with pytest.raises(BrokenPipeError) as caught:
+            cli.run_verify(cfg, BrokenStream(writes))
+        assert len(forked) == 2, writes
+        assert_reaped(forked)  # while the exception holds the frames it unwound
+        assert caught.value.errno == errno.EPIPE
+
+
+def test_a_closed_stdout_ends_a_jobs_run_and_its_workers():
+    # the bundle goes to stdout, whose reader leaves after the header; a
+    # pipe end that only the CLI and its workers hold is at EOF once all
+    # of them have exited
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    held, kept = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperjet.cli", "verify", "--types", "1,7", "--k", "2..5",
+         "--jobs", "2", "--out", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, pass_fds=(kept,),
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    os.close(kept)
+    try:
+        assert json.loads(proc.stdout.readline())["kind"] == "header"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 128 + 13
+        assert proc.stderr.read() == b""
+        # no worker left: not even a moment's wait for the held end's EOF
+        assert select.select([held], [], [], 0)[0] == [held] and os.read(held, 1) == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+        os.close(held)
 
 
 def test_shards_concatenate_to_the_whole_enumeration():
