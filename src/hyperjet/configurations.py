@@ -11,7 +11,9 @@ Configurations are enumerated up to weight-preserving relabeling of points.
 An incidence pattern is encoded as a matrix (rows = A-blocks, columns =
 B-blocks, at most one point per cell, entries = weights); representatives
 are deduplicated by a deterministic fixpoint normal form under row/column
-permutations.  Equal normal forms are always genuinely isomorphic; a few
+permutations.  The fixpoint starts by sorting the rows, so it is computed
+once per distinct row-sorted matrix, however many times the generator
+emits one.  Equal normal forms are always genuinely isomorphic; a few
 isomorphic patterns may survive as distinct representatives, which only
 makes the checked set larger.
 
@@ -153,11 +155,12 @@ def _structure(
         for blk in blocks:
             if not blk:
                 raise ValueError("empty incidence block")
-            if len(set(blk)) != len(blk):
+            points = set(blk)
+            if len(points) != len(blk):
                 raise ValueError("an incidence block lists a point twice")
-            if set(blk) & seen:
+            if not seen.isdisjoint(points):
                 raise ValueError("incidence blocks must be disjoint")
-            seen.update(blk)
+            seen |= points
         if seen != pts:
             raise ValueError("incidence blocks must cover all points")
     # The blocks partition the points, so an A-block and a B-block share at
@@ -166,17 +169,16 @@ def _structure(
     if any(len({row[p] for p in bb}) < len(bb) for bb in b_blocks):
         raise ValueError("an A-block and a B-block share at most one point")
 
-    def weight(blk: tuple[int, ...]) -> int:
-        return sum(weights[p] for p in blk)
-
-    heavy_a = [i for i, blk in enumerate(a_points) if is_heavy(weight(blk), k)]
+    a_weights = [sum([weights[p] for p in blk]) for blk in a_points]
+    b_weights = [sum([weights[p] for p in bb]) for bb in b_blocks]
+    heavy_a = [i for i, w in enumerate(a_weights) if is_heavy(w, k)]
     if len(heavy_a) > 1:
         raise AssertionError("two disjoint heavy blocks would exceed the total weight")
-    strict_b = [j for j, bb in enumerate(b_blocks) if is_heavy(weight(bb), k)]
+    strict_b = [j for j, w in enumerate(b_weights) if is_heavy(w, k)]
     if len(strict_b) > 1:
         raise AssertionError("two disjoint heavy B-blocks cannot occur")
     heavy, strict = heavy_a[0] if heavy_a else None, strict_b[0] if strict_b else None
-    weak_heavy_b = [j for j, bb in enumerate(b_blocks) if 2 * weight(bb) >= k + 1]
+    weak_heavy_b = [j for j, w in enumerate(b_weights) if 2 * w >= k + 1]
     # a strict heavy B-block is also weak: without a weak one, strict is None
     heavy_b, shared_point = strict, None
     if heavy is not None and weak_heavy_b:
@@ -191,7 +193,11 @@ def _structure(
         heavy_b, shared_point = sharing[0], shared[0]
 
     def residual(*corrected: tuple[int, ...]) -> tuple:
-        f = [sum([p in blk for blk in corrected]) for p in range(len(weights))]
+        # each corrected fibre passes once through each of its points
+        f = [0] * len(weights)
+        for blk in corrected:
+            for p in blk:
+                f[p] += 1
         exc = _interned(tuple([w + 1 - c for w, c in zip(weights, f)]))
         sums = [tuple([sum([exc[p] for p in blk]) for blk in bs]) for bs in (a_points, b_blocks)]
         return (_interned(tuple(f)) if corrected else None, exc, *map(_interned, sums),
@@ -315,7 +321,9 @@ def _multiset_block_partitions(ms: tuple[int, ...]) -> list[tuple[tuple[int, ...
 def _normal_form(m: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     """Fixpoint of row/column descending sorts; key for isomorphism dedup.
 
-    Sorts the rows of `m` in place."""
+    Sorts the rows of `m` in place.  The first step sorts the rows, so the
+    result depends only on the multiset of rows: `incidence_structures` calls
+    it once per distinct row-sorted matrix."""
     for _ in range(12):
         m.sort(reverse=True)
         cols = sorted(zip(*m), reverse=True)
@@ -332,40 +340,48 @@ def incidence_structures(weights: tuple[int, ...]) -> tuple[tuple[tuple[int, ...
     Rows are A-blocks, columns are B-blocks; a nonzero entry is the weight of
     the unique point in that cell.  During generation, columns whose current
     content coincides are interchangeable and only one representative is
-    extended, which prunes most of the labeled search space.
+    extended, which prunes most of the labeled search space.  The matrix is
+    built in place, one cell per placed point.  Each emitted matrix has its
+    rows sorted once, and only a row-sorted matrix not yet seen for this
+    weight vector is brought to its normal form (at k 7, about one emit in
+    five).
     """
     out: set[tuple[tuple[int, ...], ...]] = set()
+    row_sorted: set[tuple[tuple[int, ...], ...]] = set()
     for ablocks in _multiset_block_partitions(weights):
         points = [(ri, w) for ri, blk in enumerate(ablocks) for w in blk]
         cols: list[tuple[tuple[int, int], ...]] = []
-        col_rows: list[set[int]] = []
+        # the matrix so far, wide enough for a column per point
+        grid = [[0] * len(points) for _ in ablocks]
 
         def emit() -> None:
-            rows = [[0] * len(cols) for _ in ablocks]
-            for ci, col in enumerate(cols):
-                for ri, w in col:
-                    rows[ri][ci] = w
-            out.add(_normal_form(rows))
+            n = len(cols)
+            key = tuple(sorted([tuple(row[:n]) for row in grid], reverse=True))
+            if key not in row_sorted:
+                row_sorted.add(key)
+                out.add(_normal_form(list(map(list, key))))
 
         def rec(i: int) -> None:
             if i == len(points):
                 emit()
                 return
             ri, w = points[i]
+            row = grid[ri]
             seen: set[tuple[tuple[int, int], ...]] = set()
             for ci in range(len(cols)):
-                if ri in col_rows[ci] or cols[ci] in seen:
+                # a taken cell: the column already meets this A-block
+                if row[ci] or cols[ci] in seen:
                     continue
                 seen.add(cols[ci])
                 cols[ci] = cols[ci] + ((ri, w),)
-                col_rows[ci].add(ri)
+                row[ci] = w
                 rec(i + 1)
-                col_rows[ci].remove(ri)
+                row[ci] = 0
                 cols[ci] = cols[ci][:-1]
             cols.append(((ri, w),))
-            col_rows.append({ri})
+            row[len(cols) - 1] = w
             rec(i + 1)
-            col_rows.pop()
+            row[len(cols) - 1] = 0
             cols.pop()
 
         rec(0)
@@ -376,25 +392,15 @@ def _structure_to_blocks(
     matrix: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Label the points of a matrix: weights non-increasing, then row, then column."""
-    cells = [
-        (i, j, w)
-        for i, row in enumerate(matrix)
-        for j, w in enumerate(row)
-        if w != 0
-    ]
-    cells.sort(key=lambda c: (-c[2], c[0], c[1]))
-    weights = tuple(c[2] for c in cells)
-    index = {(i, j): p for p, (i, j, _) in enumerate(cells)}
-    a_blocks = tuple(
-        tuple(sorted(index[(i, j)] for j, w in enumerate(row) if w != 0))
-        for i, row in enumerate(matrix)
-    )
-    ncols = len(matrix[0]) if matrix else 0
-    b_blocks = tuple(
-        tuple(sorted(index[(i, j)] for i, row in enumerate(matrix) if row[j] != 0))
-        for j in range(ncols)
-    )
-    return weights, a_blocks, b_blocks
+    cells = sorted((-w, i, j) for i, row in enumerate(matrix) for j, w in enumerate(row) if w)
+    a_blocks: list[list[int]] = [[] for _ in matrix]
+    b_blocks: list[list[int]] = [[] for _ in (matrix[0] if matrix else ())]
+    # points are numbered in order, so each block lists its points sorted
+    for p, (_, i, j) in enumerate(cells):
+        a_blocks[i].append(p)
+        b_blocks[j].append(p)
+    weights = tuple([-c[0] for c in cells])
+    return weights, tuple(map(tuple, a_blocks)), tuple(map(tuple, b_blocks))
 
 
 @lru_cache(maxsize=None)

@@ -64,38 +64,74 @@ def max_multiplicity(budget: int, cap: int | None = None) -> int:
 _MAX_BUDGET = 2 * BOUNDED_MAX * BOUNDED_MAX
 # multiplicity cost under the genus bound, for each multiplicity the box allows
 _COST = [v * (v - 1) for v in range(max_multiplicity(_MAX_BUDGET) + 1)]
+# the budgets 2*alpha*beta of the bounded classes
+_CELL_BUDGETS = sorted({2 * a * b for a in range(1, BOUNDED_MAX + 1)
+                        for b in range(1, BOUNDED_MAX + 1)})
+_ZERO = DivisorClass(0, 0)
 
 
 @lru_cache(maxsize=None)
-def _assignment_maxima(coefs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _knapsack_rows(coefs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The DP rows after the items `coefs`: the best value per budget 0..32,
+    and the last item's best multiplicity per budget.
+
+    Memoized per prefix, so coefficient vectors that share a prefix share its rows.
+    """
+    if not coefs:
+        return (0,) * (_MAX_BUDGET + 1), ()
+    prev = _knapsack_rows(coefs[:-1])[0]
+    coef = coefs[-1]
+    best, choice = [], []
+    for budget in range(_MAX_BUDGET + 1):
+        top, top_v = -1, 0
+        for v, cost in enumerate(_COST):
+            if cost > budget:
+                break
+            cand = coef * v + prev[budget - cost]
+            if cand > top:
+                top, top_v = cand, v
+        best.append(top)
+        choice.append(top_v)
+    return tuple(best), tuple(choice)
+
+
+def _knapsack(coefs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """max of sum(coef_i * m_i) under sum m_i(m_i-1) <= budget, per budget.
 
     Returns (best value per budget 0..32, witness assignment per budget).
     """
-    n = len(coefs)
-    best = [[0] * (_MAX_BUDGET + 1) for _ in range(n + 1)]
-    choice = [[0] * (_MAX_BUDGET + 1) for _ in range(n)]
-    for i in range(n):
-        for budget in range(_MAX_BUDGET + 1):
-            top, top_v = -1, 0
-            for v, cost in enumerate(_COST):
-                if cost > budget:
-                    break
-                cand = coefs[i] * v + best[i][budget - cost]
-                if cand > top:
-                    top, top_v = cand, v
-            best[i + 1][budget] = top
-            choice[i][budget] = top_v
+    choices = [_knapsack_rows(coefs[:i + 1])[1] for i in range(len(coefs))]
     witnesses = []
     for budget in range(_MAX_BUDGET + 1):
         rem = budget
-        vec = [0] * n
-        for i in range(n - 1, -1, -1):
-            v = choice[i][rem]
+        vec = [0] * len(coefs)
+        for i in range(len(coefs) - 1, -1, -1):
+            v = choices[i][rem]
             vec[i] = v
             rem -= _COST[v]
         witnesses.append(tuple(vec))
-    return tuple(best[n]), tuple(witnesses)
+    return _knapsack_rows(coefs)[0], tuple(witnesses)
+
+
+@lru_cache(maxsize=None)
+def _assignment_maxima(coefs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The knapsack's maxima and witnesses, each witness cross-checked once per budget.
+
+    A bounded cell's value is intersect(base - corr, (alpha, beta)) less the
+    maximum at its budget 2*alpha*beta; pairing its twisted class with the
+    witness's strict transform gives the same intersect term less the
+    witness's sum(coef_i * m_i).  The cell agrees with that pairing exactly
+    when the witness attains the maximum, which depends only on the
+    coefficients and the budget, so it is checked here: on the blow-up of a
+    zero base, the pairing is minus the witness's sum.
+    """
+    maxima, witnesses = _knapsack(coefs)
+    twisted = BlowupClass(_ZERO, coefs)
+    for budget in _CELL_BUDGETS:
+        transform = BlowupClass(_ZERO, witnesses[budget])
+        if blowup_intersect(twisted, transform) != -maxima[budget]:
+            raise AssertionError("extremal bounded check failed cross-check")
+    return maxima, witnesses
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,24 +158,25 @@ class BoundedCellCheck:
         }
 
 
+@lru_cache(maxsize=None)
 def bounded_cells(
     coefs: tuple[int, ...], corr: DivisorClass, base: DivisorClass, strict: bool
 ) -> tuple[BoundedCellCheck, ...]:
-    """Extremal bounded checks for sorted coefficient multiset `coefs`."""
+    """Extremal bounded checks for sorted coefficient multiset `coefs`.
+
+    Memoized: neither the label nor k enters the cells, so reports that
+    differ only in those share one tuple.  The binding assignments are
+    cross-checked through the blow-up pairing once per coefficient vector
+    and budget, where the knapsack is memoized (`_assignment_maxima`).
+    """
     maxima, witnesses = _assignment_maxima(coefs)
     reduced = base - corr
-    twisted = BlowupClass(reduced, coefs)
     cells = []
     for alpha in range(1, BOUNDED_MAX + 1):
         for beta in range(1, BOUNDED_MAX + 1):
             budget = 2 * alpha * beta
             value = intersect(reduced, DivisorClass(alpha, beta)) - maxima[budget]
-            witness = witnesses[budget]
-            # cross-check the binding assignment through the blow-up pairing
-            transform = BlowupClass(DivisorClass(alpha, beta), witness)
-            if blowup_intersect(twisted, transform) != value:
-                raise AssertionError("extremal bounded check failed cross-check")
-            cells.append(BoundedCellCheck(alpha, beta, value, witness, strict))
+            cells.append(BoundedCellCheck(alpha, beta, value, witnesses[budget], strict))
     return tuple(cells)
 
 

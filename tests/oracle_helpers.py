@@ -357,6 +357,39 @@ def naive_bounded_checks(cfg: JetConfiguration, twisted: BlowupClass, strict: bo
     return out
 
 
+def knapsack_from_scratch(coefs: tuple[int, ...], max_budget: int = 32):
+    """The genus knapsack as one full DP table per vector, no row shared.
+
+    max of sum(coef_i * m_i) under sum m_i(m_i-1) <= budget, for every budget
+    0..max_budget, with the witness the package's rule picks: each item's
+    smallest multiplicity that attains its row's best value, read back from
+    the last item.  Returns (best value per budget, witness per budget).
+    """
+    costs = []
+    while len(costs) * (len(costs) - 1) <= max_budget:
+        costs.append(len(costs) * (len(costs) - 1))
+    best = [[0] * (max_budget + 1)]
+    choice = []
+    for coef in coefs:
+        row, picks = [], []
+        for budget in range(max_budget + 1):
+            options = [(coef * v + best[-1][budget - c], v)
+                       for v, c in enumerate(costs) if c <= budget]
+            top = max(value for value, _ in options)
+            row.append(top)
+            picks.append(min(v for value, v in options if value == top))
+        best.append(row)
+        choice.append(picks)
+    witnesses = []
+    for budget in range(max_budget + 1):
+        vec, rem = [0] * len(coefs), budget
+        for i in reversed(range(len(coefs))):
+            vec[i] = choice[i][rem]
+            rem -= costs[vec[i]]
+        witnesses.append(tuple(vec))
+    return tuple(best[-1]), tuple(witnesses)
+
+
 def point_offsets(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType
 ) -> tuple[tuple[int, ...], DivisorClass]:

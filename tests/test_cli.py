@@ -504,7 +504,8 @@ def test_serial_run_calls_the_task_function_once_per_task(monkeypatch):
     monkeypatch.setattr(cli, "_task_certs", counted)
     cfg = cli.RunConfig("verify", k_max=3)
     cli.run_verify(cfg, io.StringIO())
-    # the pool's task function, which the benchmark's tracer counts
+    # the function each --jobs worker also runs per task, which the
+    # benchmark's tracer counts
     assert len(calls) == len(cli._tasks(cfg, True))
 
 

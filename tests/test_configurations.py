@@ -1,8 +1,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperjet.configurations import (
     ABlock,
@@ -16,6 +19,7 @@ from hyperjet.configurations import (
     SING_M_A,
     SING_M_B,
     JetConfiguration,
+    _normal_form,
     _skeletons,
     classify,
     enumerate_configurations,
@@ -342,6 +346,22 @@ def test_r_max_cap():
         enumerate_configurations(4, surface(1), 2)
 
 
+@st.composite
+def weighted_incidence_matrices(draw):
+    """At most 5x5; each cell is empty (0) or holds one point of weight 1..3."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@given(weighted_incidence_matrices())
+def test_normal_form_ignores_row_order(matrix):
+    # `incidence_structures` normalises only one matrix per multiset of rows
+    expected = _normal_form([list(row) for row in matrix])
+    for perm in set(permutations(map(tuple, matrix))):
+        assert _normal_form([list(row) for row in perm]) == expected
+
+
 # sha256 of each k's skeleton table, every entry as [configuration JSON,
 # heavy A-row], encoded by json.dumps with sorted keys
 SKELETON_DIGESTS = {
@@ -350,6 +370,7 @@ SKELETON_DIGESTS = {
     4: (106, "d4c8ebc2bd60451ad370c573a037338cde743d01005641f3ca312b594df55b81"),
     5: (348, "f103d0a5acfe4bb30911deb55f3e8a4e359ff5d055d9c2a354a37b334e0cf761"),
     6: (1103, "3afedc140e139ea7fc646f28d417e04561acca4120a5c34f8db3939119f6115c"),
+    7: (3696, "127ecbd5649f291d2a3d4fd3288a85ab0775bcdb94102052c24377879747aea8"),
 }
 
 

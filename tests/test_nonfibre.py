@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 
 from hyperjet import lp, nonfibre
@@ -5,6 +7,7 @@ from hyperjet.configurations import (
     ABlock,
     CASE_I,
     JetConfiguration,
+    _skeletons,
     classify,
 )
 from hyperjet.engine import (
@@ -19,6 +22,7 @@ from oracle_helpers import (
     build_correction,
     build_twist,
     check_bounded,
+    knapsack_from_scratch,
     naive_bounded_checks,
     point_offsets,
     target_inequality,
@@ -125,6 +129,45 @@ def test_bounded_cells_agree_with_full_enumeration():
         assert len(report.bounded) == 16
         for cell in report.bounded:
             assert cell.min_value == by_cell[(cell.alpha, cell.beta)]
+
+
+def test_bounded_cross_check_rejects_a_witness_short_of_its_maximum(monkeypatch):
+    coefs, corr, base = (2, 3, 3), DivisorClass(0, 0), default_base(2)
+    expected = nonfibre.bounded_cells(coefs, corr, base, False)
+    # fresh memos, so the knapsack runs again; monkeypatch restores the shared ones
+    for name in ("_assignment_maxima", "bounded_cells"):
+        fresh = lru_cache(maxsize=None)(getattr(nonfibre, name).__wrapped__)
+        monkeypatch.setattr(nonfibre, name, fresh)
+    assert nonfibre.bounded_cells(coefs, corr, base, False) == expected
+    nonfibre.bounded_cells.cache_clear()
+    nonfibre._assignment_maxima.cache_clear()
+    knapsack = nonfibre._knapsack
+
+    def one_short(coefs):
+        # every witness now falls one short of the maximum reported beside it
+        maxima, witnesses = knapsack(coefs)
+        return tuple(m + 1 for m in maxima), witnesses
+
+    monkeypatch.setattr(nonfibre, "_knapsack", one_short)
+    with pytest.raises(AssertionError, match="^extremal bounded check failed cross-check$"):
+        nonfibre.bounded_cells(coefs, corr, base, False)
+
+
+def test_prefix_shared_knapsack_matches_a_from_scratch_dp():
+    """Every coefficient vector a k 2..6 sweep can hand the report: M's and
+    each N's sorted exceptional vector, over the skeletons' cores."""
+    vectors = set()
+    for k in range(2, 7):
+        for cfg in _skeletons(k)[0]:
+            core = cfg.validate()
+            vectors.update(res.coefs for res in (core, core.n_a, core.n_b, core.n_ab) if res)
+    assert len(vectors) >= 101  # the distinct vectors the sweep's reports read
+    for coefs in sorted(vectors):
+        maxima, witnesses = nonfibre._knapsack(coefs)
+        assert (maxima, witnesses) == knapsack_from_scratch(coefs), coefs
+        for budget, witness in enumerate(witnesses):
+            assert sum(m * (m - 1) for m in witness) <= budget
+            assert sum(c * m for c, m in zip(coefs, witness)) == maxima[budget]
 
 
 def test_bounded_reproduces_table_row_x():
