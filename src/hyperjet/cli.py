@@ -152,11 +152,11 @@ SHARD_SKELETONS = 128
 class Task(NamedTuple):
     """A slice of k's skeleton table for one type: the unit of every sweep."""
 
-    type_id: int
+    surface: SurfaceType  # with k, base and part: what `engine.iter_certificates` takes
     k: int
-    base: tuple[int, int] | None
-    lines: bool
+    base: DivisorClass | None
     part: slice
+    lines: bool  # whether to make bundle text
 
 
 def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
@@ -166,8 +166,9 @@ def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
     is built here, so `--jobs` workers forked afterwards inherit it instead
     of building it again.
     """
+    base = DivisorClass(*cfg.base_class) if cfg.base_class else None
     return [
-        Task(t, k, cfg.base_class, lines, slice(start, min(start + SHARD_SKELETONS, count)))
+        Task(surface(t), k, base, slice(start, min(start + SHARD_SKELETONS, count)), lines)
         for t in cfg.surface_types
         for k in range(cfg.k_min, cfg.k_max + 1)
         for count in [configurations.skeleton_count(k, min(cfg.r_max or k + 1, k + 1))]
@@ -175,36 +176,34 @@ def _tasks(cfg: RunConfig, lines: bool) -> list[Task]:
     ]
 
 
-def _scope(task: Task) -> tuple[SurfaceType, int, DivisorClass | None, slice]:
-    """(surface, k, base, part) of a task, as the engine's iterators take them.
-
-    The part ends at the point cap.
-    """
-    base = DivisorClass(*task.base) if task.base else None
-    return surface(task.type_id), task.k, base, task.part
-
-
 # The text of each fragment of a bundle line this process has encoded in the
-# current run, with the object it encodes; emptied at the start of every run
-# (before any worker forks, so every worker starts with nothing).  Check
-# records, classes and unbounded reports, which the engine and the report
-# cache share between certificates (one object per value), are keyed by id
-# (the entry holds the object, so its id cannot be reused).  Everything else
-# is keyed by value: A-blocks, block and weight tuples, strings and None.  No
-# value key is an int, so the two kinds of key never meet.
-_fragments: dict[object, tuple[object, str]] = {}
+# current run, keyed by the id of the object it encodes.  `_encoded` holds
+# those objects, so that no id is reused while its text is kept; a list beside
+# the texts, not a pair per entry, is 0.2 MB less at k <= 6 (4,208 texts).
+# Both are emptied at the start of every run (before any worker forks, so
+# every worker starts with nothing).  Each value given to `_fragment` is one
+# object per value: check records, classes, reports' cell tuples and unbounded
+# halves through the engine's and the report cache's memos, weight and block
+# tuples and A-blocks through `configurations._interned`, and labels,
+# theorems and report keys as the strings the engine shares.
+_fragments: dict[int, str] = {}
+_encoded: list[object] = []
 
 # the keys of the reports whose lines this process has made in the current run
 _sent: set[str] = set()
 
 
-def _fragment(key: object, obj: object) -> str:
-    """`obj` encoded once per run: its `to_json()`, or itself if it has none."""
-    entry = _fragments.get(key)
-    if entry is None:
+def _fragment(obj: object) -> str:
+    """`obj` encoded once per run: its `to_json()`, the list of its cells' for a
+    report's bounded cells, or itself."""
+    text = _fragments.get(id(obj))
+    if text is None:
         value = obj.to_json() if hasattr(obj, "to_json") else obj
-        entry = _fragments[key] = (obj, _dump(value))
-    return entry[1]
+        if isinstance(obj, tuple) and obj and isinstance(obj[0], nonfibre.BoundedCellCheck):
+            value = [cell.to_json() for cell in obj]
+        text = _fragments[id(obj)] = _dump(value)
+        _encoded.append(obj)
+    return text
 
 
 def _config_text(config: JetConfiguration) -> str:
@@ -212,14 +211,12 @@ def _config_text(config: JetConfiguration) -> str:
 
     The seven types share k's skeleton configurations, and a heavy-kind
     variant is built anew for each type, but the blocks and weight tuples
-    they are made of are few: those are what a run keeps.  All are tuples
-    (an `ABlock` too), so each key hashes in C.
+    they are made of are few: those are what a run keeps.
     """
-    a_blocks = ",".join([_fragment(block, block) for block in config.a_blocks])
-    b_blocks, weights = config.b_blocks, config.weights
+    a_blocks = ",".join([_fragment(block) for block in config.a_blocks])
     return (
-        f'{{"a_blocks":[{a_blocks}],"b_blocks":{_fragment(b_blocks, b_blocks)},'
-        f'"k":{config.k},"weights":{_fragment(weights, weights)}}}'
+        f'{{"a_blocks":[{a_blocks}],"b_blocks":{_fragment(config.b_blocks)},'
+        f'"k":{config.k},"weights":{_fragment(config.weights)}}}'
     )
 
 
@@ -230,36 +227,33 @@ def _json_bool(flag: bool) -> str:
 def _certificate_line(cert: engine.Certificate) -> str:
     """`_dump({"kind": "certificate", **cert.to_json()}) + "\\n"`, from cached fragments."""
     report = cert.nonfibre_report
-    key = report.key if report else None
     a, b = cert.base.to_pair()
-    checks = ",".join([_fragment(id(check), check) for check in cert.checks])
-    seshadri, theorem = cert.seshadri_axiom, cert.vanishing_theorem
+    checks = ",".join([_fragment(check) for check in cert.checks])
+    seshadri = cert.seshadri_axiom
     return (
         f'{{"base":[{a},{b}],"checks":[{checks}],"config":{_config_text(cert.config)},'
-        f'"f_class":{_fragment(id(cert.f_class), cert.f_class)},"k":{cert.k},'
-        f'"kind":"certificate","label":{_fragment(cert.label, cert.label)},'
-        f'"m_class":{_fragment(id(cert.m_class), cert.m_class)},'
-        f'"n_class":{_fragment(id(cert.n_class), cert.n_class)},'
-        f'"nonfibre_ref":{_fragment(key, key)},"pass":{_json_bool(cert.passed)},'
+        f'"f_class":{_fragment(cert.f_class)},"k":{cert.k},'
+        f'"kind":"certificate","label":{_fragment(cert.label)},'
+        f'"m_class":{_fragment(cert.m_class)},"n_class":{_fragment(cert.n_class)},'
+        f'"nonfibre_ref":{_fragment(report.key if report else None)},'
+        f'"pass":{_json_bool(cert.passed)},'
         f'"seshadri_axiom":{"null" if seshadri is None else _dump(seshadri)},'
         f'"snc_axiom":{_json_bool(cert.snc_axiom)},"surface_type":{cert.surface_type},'
-        f'"vanishing_theorem":{_fragment(theorem, theorem)}}}\n'
+        f'"vanishing_theorem":{_fragment(cert.vanishing_theorem)}}}\n'
     )
 
 
 def _report_line(report: nonfibre.NonFibreReport) -> str:
     """`_dump({"kind": "nonfibre_report", **report.to_json()}) + "\\n"`, from cached fragments.
 
-    The bounded cells are encoded here; the unbounded half is shared by
-    every report with the same corrected fibres, k, base and, when both
-    fibres are corrected, shared point.
+    Reports share their halves: the bounded cells by coefficient vector,
+    correction, base and strictness, and the unbounded half by corrected
+    fibres, k, base and, when both fibres are corrected, shared point.
     """
-    bounded = _dump([cell.to_json() for cell in report.bounded])
     return (
-        f'{{"bounded":{bounded},"key":{_fragment(report.key, report.key)},'
-        f'"kind":"nonfibre_report","label":{_fragment(report.label, report.label)},'
-        f'"pass":{_json_bool(report.passed)},'
-        f'"unbounded":{_fragment(id(report.unbounded), report.unbounded)}}}\n'
+        f'{{"bounded":{_fragment(report.bounded)},"key":{_fragment(report.key)},'
+        f'"kind":"nonfibre_report","label":{_fragment(report.label)},'
+        f'"pass":{_json_bool(report.passed)},"unbounded":{_fragment(report.unbounded)}}}\n'
     )
 
 
@@ -277,7 +271,7 @@ def _task_certs(task: Task) -> Result:
     """
     tally: dict[str, list[int]] = {}
     parts: list[Part] = []
-    for cert in engine.iter_certificates(*_scope(task)):
+    for cert in engine.iter_certificates(task.surface, task.k, task.base, task.part):
         counts = tally.get(cert.label)
         if counts is None:
             counts = tally[cert.label] = [0, 0]
@@ -371,6 +365,7 @@ def _iter_sweep(cfg: RunConfig, lines: bool) -> Iterator[Result]:
     """
     _sent.clear()
     _fragments.clear()
+    _encoded.clear()
     tasks = _tasks(cfg, lines)
     owners = _owners(tasks, cfg.jobs)
     jobs = max(owners, default=0) + 1
@@ -457,7 +452,7 @@ def _cmd_matrix(cfg: RunConfig) -> int:
     """Full bounded-regime check matrices, once per distinct non-fibre report."""
     reports = {}
     for task in _tasks(cfg, False):
-        for report in engine.iter_reports(*_scope(task)):
+        for report in engine.iter_reports(task.surface, task.k, task.base, task.part):
             reports.setdefault(report.key, report)
     rows = [
         {"key": r.key, "label": r.label, "pass": r.passed,

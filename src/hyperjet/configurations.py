@@ -211,9 +211,11 @@ def _structure(
     return Core(*residual(), heavy, heavy_b, shared_point, n(a_blk), n(b_blk), n(a_blk, b_blk))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _interned(value):
-    """The first value equal to `value`."""
+    """The first value equal to `value` and of its type: the package's one interner.
+
+    Typed, because an `ABlock` equals the plain tuple of its fields."""
     return value
 
 
@@ -411,30 +413,28 @@ def _skeletons(k: int) -> tuple[tuple[JetConfiguration, ...], tuple[int | None, 
     in the second tuple, the index of its heavy A-block (None if no A-block
     is heavy).  The single point comes first, then the matrices by point
     count, weight vector and matrix, so a cap on the point count is a prefix.
-    Weight tuples, blocks and singular A-blocks are interned: equal ones are
-    one object.
+    Weight tuples, blocks and singular A-blocks are interned (`_interned`),
+    for every k: equal ones are one object.
     """
-    pool: dict = {}
-
-    def intern(x):
-        return pool.setdefault(x, x)
-
     def singular(pts: tuple[int, ...]) -> ABlock:
-        return intern(ABlock(intern(pts), SINGULAR_A, 1))
+        return _interned(ABlock(_interned(pts), SINGULAR_A, 1))
 
-    single = JetConfiguration(k, intern((k + 1,)), (singular((0,)),), (intern((0,)),))
+    point = _interned((0,))
+    single = JetConfiguration(
+        k, _interned((k + 1,)), _interned((singular(point),)), _interned((point,))
+    )
     table, heavy = [single], [None]
     # the partitions by length, each length in descending order (the sort
     # is stable), after the single point (k+1,)
     for weights in sorted(weight_partitions(k + 1), key=len)[1:]:
         for matrix in incidence_structures(weights):
             w, a_pts, b_pts = _structure_to_blocks(matrix)
-            a_pts = intern(tuple(intern(pts) for pts in a_pts))
+            a_pts = _interned(tuple([_interned(pts) for pts in a_pts]))
             cfg = JetConfiguration(
                 k,
-                intern(w),
-                intern(tuple(singular(pts) for pts in a_pts)),
-                intern(tuple(intern(pts) for pts in b_pts)),
+                _interned(w),
+                _interned(tuple([singular(pts) for pts in a_pts])),
+                _interned(tuple([_interned(pts) for pts in b_pts])),
             )
             table.append(cfg)
             # the first call of `cfg.validate()`, with the interned A-point
@@ -476,7 +476,6 @@ def enumerate_configurations(
             blocks = cfg.a_blocks
             points = blocks[heavy].points
             for kind, coeff in s.a_fibres[1:]:
-                a_blocks = (
-                    blocks[:heavy] + (ABlock(points, kind, coeff),) + blocks[heavy + 1:]
-                )
+                variant = _interned(ABlock(points, kind, coeff))
+                a_blocks = blocks[:heavy] + (variant,) + blocks[heavy + 1:]
                 yield JetConfiguration(k, cfg.weights, a_blocks, cfg.b_blocks)

@@ -30,7 +30,8 @@ differs between certificates:
   (d*a for a B-fibre) less the block's sum, each interned as a record by its
   value, strictness, divisor and fibre (an `ABlock`, or a B-block's (points,
   kind, coefficient)); the fresh fibres' records are one memoized tuple per
-  type, checked base, strictness and divisor;
+  type, checked base, strictness and divisor, and the single point's are one
+  memoized pair per k and base;
 * the verdict: a record decides its own once, when it is made, so a
   certificate's reads the report's and its records' verdicts;
 * a `Certificate` of what it cannot derive: k, the vanishing theorem and the
@@ -187,21 +188,21 @@ def _blowup(a: int, b: int, exc: tuple[int, ...]) -> BlowupClass:
 
 def _classes(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
-) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None, Residual]:
-    """M, the SNC correction F, N = M - F and the checked class's residual, from the
-    core the classification carries.  F corrects the heavy A-fibre when it is the
-    minimal (singular) one and the heavy B-fibre if any; a case with neither has
-    F = N = None."""
+) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None, Residual, tuple[int, int]]:
+    """M, the SNC correction F, N = M - F, the checked class's residual and F's base
+    (fa, fb), from the core the classification carries.  F corrects the heavy
+    A-fibre when it is the minimal (singular) one and the heavy B-fibre if any; a
+    case with neither has F = N = None and the correction (0, 0)."""
     core = cls.core
     heavy = None if cls.heavy_a is None else cfg.a_blocks[cls.heavy_a]
     corr_a, corr_b = heavy is not None and heavy.kind == SINGULAR_A, cls.heavy_b is not None
     res = core.residual(corr_a, corr_b)
     m_class = _blowup(base.a, base.b, core.exc)
     if res.f_exc is None:
-        return m_class, None, None, res
+        return m_class, None, None, res, (0, 0)
     fa, fb = heavy.fibre_coeff if corr_a else 0, s.b_fibre_coeff if corr_b else 0
     n_class = _blowup(base.a - fa, base.b - fb, res.exc)
-    return m_class, _blowup(fa, fb, res.f_exc), n_class, res
+    return m_class, _blowup(fa, fb, res.f_exc), n_class, res, (fa, fb)
 
 
 @lru_cache(maxsize=None)
@@ -273,40 +274,29 @@ def certify_r1(
 ) -> Certificate:
     """Single-point certificate, valid for every k >= 0.
 
+    It is `verify` of the single-point configuration, which fills in the
+    default base and, through the structure check, rejects k < 0.
+    """
+    return verify(JetConfiguration(k, (k + 1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),)), s, base)
+
+
+@lru_cache(maxsize=None)
+def _r1_checks(needed: int, base: DivisorClass) -> tuple[CheckRecord, CheckRecord]:
+    """The single point's nef-threshold and bigness records against `base`, for
+    the twist coefficient `needed` = k+2: one pair per value, for every type.
+
     Nef: the Seshadri constant of (1,1) is at least 1 (axiom), and the base
     dominates min(a,b)*(1,1) plus a nef vertical class, so the nef threshold
-    of the blow-up twist is at least min(a, b); the twist coefficient is
-    k+2.  Big: L^2 - (k+2)^2 > 0.
+    of the blow-up twist is at least min(a, b).  Big: L^2 - (k+2)^2 > 0.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if base is None:
-        base = default_base(k)
-    cfg = JetConfiguration(k, (k + 1,), (ABlock((0,), SINGULAR_A, 1),), ((0,),))
-    return _r1_certificate(cfg, s, base)
-
-
-def _r1_certificate(cfg: JetConfiguration, s: SurfaceType, base: DivisorClass) -> Certificate:
-    """The single-point certificate of `cfg` (any k >= 0) against `base`."""
-    needed = cfg.k + 2
     available = min(base.a, base.b) * SESHADRI_UNIT_BOUND
-    nef = CheckRecord(
-        "nef-threshold",
-        available - needed,
-        False,
-        text=f"Seshadri lower bound min(a,b) = {available} against twist "
-        f"coefficient {needed}",
-    )
+    nef = CheckRecord("nef-threshold", available - needed, False, text=(
+        f"Seshadri lower bound min(a,b) = {available} against twist coefficient {needed}"
+    ))
     lsq = intersect(base, base)
-    big = CheckRecord(
-        "bigness",
-        lsq - needed * needed,
-        True,
-        text=f"L^2 - (k+2)^2 = {lsq} - {needed * needed}",
-    )
-    m_class = _blowup(base.a, base.b, (needed,))
-    return Certificate(s.type_id, base, cfg, R1, m_class, None, None, (nef, big), None,
-                       nef.passed and big.passed)
+    big = CheckRecord("bigness", lsq - needed * needed, True,
+                      text=f"L^2 - (k+2)^2 = {lsq} - {needed * needed}")
+    return nef, big
 
 
 def externally_certified_k1(s: SurfaceType) -> dict:
@@ -328,13 +318,17 @@ def verify(
         base = default_base(cfg.k)
     cls = classify(cfg, s)
     if cls.label == R1:
-        return _r1_certificate(cfg, s, base)
-    m_class, f_class, n_class, res = _classes(cfg, cls, s, base)
+        nef, big = checks = _r1_checks(cfg.k + 2, base)
+        m_class = _blowup(base.a, base.b, cls.core.exc)
+        return Certificate(s.type_id, base, cfg, R1, m_class, None, None, checks, None,
+                           nef.passed and big.passed)
+    m_class, f_class, n_class, res, corr = _classes(cfg, cls, s, base)
     strict = n_class is not None
     checked, what = (n_class, "N") if strict else (m_class, "M")
     checks = [_square_record(2 * checked.base.a * checked.base.b - res.square, True, what)]
     checks += certify_fibres(checked, res, cfg, s, strict, what)
-    report = nonfibre.analyse(cls, checked, base, cfg.k, res.coefs)
+    shared = cls.shared_point is not None
+    report = nonfibre.analyse(cls.label, res.coefs, corr, base, cfg.k, shared)
     passed = report.passed and all([c.passed for c in checks])
     return Certificate(s.type_id, base, cfg, cls.label, m_class, f_class, n_class,
                        tuple(checks), report, passed)
@@ -393,6 +387,6 @@ def iter_reports(
     for cfg in enumerate_configurations(k, s, part=part):
         cls = classify(cfg, s)
         if cls.label != R1:
-            m_class, _, n_class, res = _classes(cfg, cls, s, base)
-            checked = m_class if n_class is None else n_class
-            yield nonfibre.analyse(cls, checked, base, k, res.coefs)
+            *_, res, corr = _classes(cfg, cls, s, base)
+            yield nonfibre.analyse(cls.label, res.coefs, corr, base, k,
+                                   cls.shared_point is not None)

@@ -34,7 +34,6 @@ from functools import lru_cache
 from math import isqrt
 
 from . import lp
-from .configurations import Classification
 from .lattice import (
     BlowupClass,
     DivisorClass,
@@ -500,39 +499,20 @@ class NonFibreReport:
 
 
 @lru_cache(maxsize=None)
-def _report_for_key(
-    label: str,
-    coefs: tuple[int, ...],
-    corr_pair: tuple[int, int],
-    base_pair: tuple[int, int],
-    k: int,
-    shared_exists: bool,
-) -> NonFibreReport:
-    base = DivisorClass(*base_pair)
-    corr = DivisorClass(*corr_pair)
-    corrected = (corr.a > 0, corr.b > 0)
-    bounded = bounded_cells(coefs, corr, base, any(corrected))
-    unbounded = check_unbounded(corrected, k, base, shared_exists and all(corrected))
-    passed = all(c.passed for c in bounded) and unbounded.passed
-    key = f"{label}|{','.join(map(str, coefs))}|corr{corr_pair}|base{base_pair}|k{k}"
-    return NonFibreReport(key, label, bounded, unbounded, passed)
-
-
 def analyse(
-    cls: Classification, checked: BlowupClass, base: DivisorClass, k: int,
-    coefs: tuple[int, ...] | None = None,
+    label: str, coefs: tuple[int, ...], corr: tuple[int, int], base: DivisorClass, k: int,
+    shared: bool,
 ) -> NonFibreReport:
-    """Non-fibre report for the checked class M or N (cached by arithmetic content).
+    """Non-fibre report for the checked class M or N; the report cache itself.
 
-    `checked` is pi*(base - corr) - sum c_i E_i; the report reads the sorted
-    c_i, which the engine passes as `coefs` from the skeleton's core, and
-    corr = base - checked.base.
+    The checked class is pi*(base - corr) - sum c_i E_i: `coefs` are the c_i
+    sorted, which the engine reads from the skeleton's core, and `corr` is
+    F's base (fa, fb), (0, 0) for M.  `shared` says whether the heavy fibres
+    share a point.  Memoized by these arithmetic contents, one report each.
     """
-    return _report_for_key(
-        cls.label,
-        tuple(sorted(checked.exc)) if coefs is None else coefs,
-        (base.a - checked.base.a, base.b - checked.base.b),
-        (base.a, base.b),
-        k,
-        cls.shared_point is not None,
-    )
+    corrected = (corr[0] > 0, corr[1] > 0)
+    bounded = bounded_cells(coefs, DivisorClass(*corr), base, any(corrected))
+    unbounded = check_unbounded(corrected, k, base, shared and all(corrected))
+    passed = all(c.passed for c in bounded) and unbounded.passed
+    key = f"{label}|{','.join(map(str, coefs))}|corr{corr}|base{base.to_pair()}|k{k}"
+    return NonFibreReport(key, label, bounded, unbounded, passed)

@@ -155,7 +155,7 @@ def test_certificate_lines_match_the_reference_encoding():
     for cfg in scopes:
         for task in cli._tasks(cfg, True):
             lines = [part for part in cli._task_certs(task)[1] if isinstance(part, str)]
-            certs = engine.iter_certificates(*cli._scope(task))
+            certs = engine.iter_certificates(task.surface, task.k, task.base, task.part)
             for line, cert in zip(lines, certs, strict=True):
                 assert line == cli._dump({"kind": "certificate", **cert.to_json()}) + "\n"
                 count += 1
@@ -168,7 +168,7 @@ def test_report_lines_match_the_reference_encoding():
     for base in (None, (3, 4)):
         cfg = cli.RunConfig("verify", k_max=5, base_class=base)
         reports = {r.key: r for task in cli._tasks(cfg, False)
-                   for r in engine.iter_reports(*cli._scope(task))}
+                   for r in engine.iter_reports(task.surface, task.k, task.base, task.part)}
         bundle = io.StringIO()
         cli.run_verify(cfg, bundle)
         lines = [line for line in bundle.getvalue().splitlines(keepends=True)
@@ -510,7 +510,7 @@ def test_serial_run_calls_the_task_function_once_per_task(monkeypatch):
 
 
 def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
-    encoded, checks, configs, blocks, tuples, classes, unbounded = ([] for _ in range(7))
+    encoded, checks, configs, blocks, tuples, classes, unbounded, cells = ([] for _ in range(8))
     # a report line is made by `cli._report_line`, not `NonFibreReport.to_json`
     report_line, dump = cli._report_line, cli._dump
 
@@ -539,12 +539,13 @@ def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
     counting(ABlock, blocks, lambda b: b)
     counting(BlowupClass, classes, lambda c: c)
     counting(nonfibre.UnboundedReport, unbounded, id)
+    counting(nonfibre.BoundedCellCheck, cells, id)
     monkeypatch.setattr(cli, "_worker", inline_worker)
     bundle = tmp_path / "certs.jsonl"
     # serially, then through in-process workers: one cache for the whole run,
     # so the fibre records that types 1 and 3 share at each k are encoded once
     for jobs in ("1", "2"):
-        for counts in (encoded, checks, configs, blocks, tuples, classes, unbounded):
+        for counts in (encoded, checks, configs, blocks, tuples, classes, unbounded, cells):
             counts.clear()
         code, _, _ = run_cli(capsys, "verify", "--types", "1,3", "--k", "2..5",
                              "--jobs", jobs, "--out", str(bundle))
@@ -561,6 +562,34 @@ def test_serial_bundle_encodes_each_report_once(capsys, tmp_path, monkeypatch):
         assert classes and len(classes) == len(set(classes)), jobs
         # one unbounded half per label, k and shared point, not one per report
         assert unbounded and len(unbounded) == len(set(unbounded)) < len(written) / 4, jobs
+        # each distinct tuple of bounded cells once, though reports share them:
+        # a cell belongs to one tuple, so each cell is encoded once
+        assert cells and len(cells) == len(set(cells)) < 16 * len(written), jobs
+
+
+FRAGMENT_PROBE = """
+import contextlib, io, json, sys
+from hyperjet import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--types", "all", "--k", "2..6", "--out", sys.argv[1]]) == 0
+texts = list(cli._fragments.values())
+print(json.dumps({"entries": len(texts), "texts": len(set(texts))}))
+"""
+
+
+def test_every_fragment_text_is_encoded_once(tmp_path):
+    """A serial run's fragment cache holds no text twice.
+
+    The cache is keyed by identity, so this holds when every value a bundle
+    line encodes is one object per value.  Run in a fresh interpreter, so
+    the interned values are this run's.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", FRAGMENT_PROBE, str(tmp_path / "certs.jsonl")],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                         check=True)
+    got = json.loads(out.stdout)
+    assert got["entries"] == got["texts"] > 4000, got
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():
@@ -604,9 +633,9 @@ def test_a_failing_task_in_a_worker_ends_the_run_as_serially(capsys, tmp_path, m
     task_certs = cli._task_certs
 
     def failing(task):  # forked workers inherit it
-        if (task.type_id, task.k) == (2, 3):
+        if (task.surface.type_id, task.k) == (2, 3):
             raise ValueError("no certificates for type 2 at k 3")
-        if (task.type_id, task.k) == (2, 4):  # the next task: a serial run stops before it
+        if (task.surface.type_id, task.k) == (2, 4):  # the next task: a serial run stops before it
             time.sleep(60)
         return task_certs(task)
 

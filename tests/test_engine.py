@@ -129,6 +129,20 @@ def test_certify_r1_smallest_instance():
     assert cert.passed
 
 
+@pytest.mark.parametrize("base", [None, DivisorClass(5, 6)])
+def test_certify_r1_is_verify_of_the_single_point(base):
+    for type_id in (1, 6):
+        s = surface(type_id)
+        for k in range(0, 4):
+            single = cfg_of(k, (k + 1,), [((0,), SINGULAR_A, 1)], [(0,)])
+            assert certify_r1(k, s, base) == verify(single, s, base), (type_id, k)
+
+
+def test_certify_r1_rejects_negative_k():
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        certify_r1(-1, surface(1))
+
+
 def test_certify_square_instances():
     m = build_twist(2, (1, 1, 1))
     rec = certify_square(m, True, "M")
@@ -316,7 +330,9 @@ def test_certificates_match_the_generic_path(type_id, ks, base):
             assert square.value == blowup_intersect(checked, checked)
             checks = (square, *certify_fibres(checked, cfg, s, strict, what))
             assert cert.checks == checks
-            report = nonfibre.analyse(cls, checked, expected_base, k)
+            corr = (expected_base.a - checked.base.a, expected_base.b - checked.base.b)
+            report = nonfibre.analyse(cls.label, tuple(sorted(checked.exc)), corr,
+                                      expected_base, k, cls.shared_point is not None)
             assert cert.nonfibre_report is report
             assert report.key.split("|")[1] == ",".join(map(str, sorted(checked.exc)))
             assert cert.vanishing_theorem == (NORIMATSU if strict else KAWAMATA_VIEHWEG)
@@ -516,7 +532,7 @@ def test_stored_verdicts_match_the_values():
                 assert_verdicts(cert)
     control = cli.build_run_config(["negative-control", "--class", "3,4", "--k", "2"])
     certs = [cert for task in cli._tasks(control, False)
-             for cert in iter_certificates(*cli._scope(task))]
+             for cert in iter_certificates(task.surface, task.k, task.base, task.part)]
     for cert in certs:
         assert_verdicts(cert)
     assert certs and not any(cert.passed for cert in certs)

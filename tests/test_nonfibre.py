@@ -306,11 +306,11 @@ def test_regimes_cover_all_candidate_classes():
 
 
 def test_reports_are_cached_by_arithmetic_content():
-    s = surface(1)
-    out = classify(CASE_I_CFG, s)
+    out = classify(CASE_I_CFG, surface(1))
     m_class = build_twist(2, CASE_I_CFG.weights, default_base(2))
-    r1 = nonfibre.analyse(out, m_class, default_base(2), 2)
-    r2 = nonfibre.analyse(out, m_class, default_base(2), 2)
+    coefs = tuple(sorted(m_class.exc))
+    r1 = nonfibre.analyse(out.label, coefs, (0, 0), default_base(2), 2, False)
+    r2 = nonfibre.analyse(out.label, coefs, (0, 0), DivisorClass(4, 4), 2, False)
     assert r1 is r2
 
 
