@@ -83,9 +83,6 @@ class JetConfiguration:
             self.k, self.weights, tuple([ab.points for ab in self.a_blocks]), self.b_blocks
         )
 
-    def weight_of(self, points: tuple[int, ...]) -> int:
-        return sum(self.weights[i] for i in points)
-
     def to_json(self) -> dict:
         return {
             "k": self.k,

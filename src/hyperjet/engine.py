@@ -24,8 +24,9 @@ vectors and sums of squares.  Per certificate, `verify` pays only for what
 differs between certificates:
 
 * one memo lookup: `classify` reads the core and hands it on in the
-  `Classification`, and `verify` picks the residual of the corrected fibres;
-* M, F and N, memoized by value;
+  `Classification`, and `_classes` picks the residual of the corrected fibres;
+* M, F and N, memoized by value, and the non-fibre report of the checked
+  class, which `_classes` asks of the report cache (`nonfibre.analyse`);
 * the square 2ab less the sum of squares and each block's fibre value, c*b
   (d*a for a B-fibre) less the block's sum, each interned as a record by its
   value, strictness, divisor and fibre (an `ABlock`, or a B-block's (points,
@@ -51,6 +52,7 @@ from .configurations import (
     Classification,
     JetConfiguration,
     Residual,
+    _interned,
     classify,
     enumerate_configurations,
 )
@@ -188,21 +190,24 @@ def _blowup(a: int, b: int, exc: tuple[int, ...]) -> BlowupClass:
 
 def _classes(
     cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
-) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None, Residual, tuple[int, int]]:
-    """M, the SNC correction F, N = M - F, the checked class's residual and F's base
-    (fa, fb), from the core the classification carries.  F corrects the heavy
-    A-fibre when it is the minimal (singular) one and the heavy B-fibre if any; a
-    case with neither has F = N = None and the correction (0, 0)."""
+) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None, Residual,
+           nonfibre.NonFibreReport]:
+    """M, the SNC correction F, N = M - F, the checked class's residual and its
+    non-fibre report, from the core the classification carries.  F corrects the
+    heavy A-fibre when it is the minimal (singular) one and the heavy B-fibre if
+    any; a case with neither has F = N = None and its report checks M."""
     core = cls.core
     heavy = None if cls.heavy_a is None else cfg.a_blocks[cls.heavy_a]
     corr_a, corr_b = heavy is not None and heavy.kind == SINGULAR_A, cls.heavy_b is not None
     res = core.residual(corr_a, corr_b)
+    fa, fb = heavy.fibre_coeff if corr_a else 0, s.b_fibre_coeff if corr_b else 0
+    shared = cls.shared_point is not None
+    report = nonfibre.analyse(cls.label, res.coefs, (fa, fb), base, cfg.k, shared)
     m_class = _blowup(base.a, base.b, core.exc)
     if res.f_exc is None:
-        return m_class, None, None, res, (0, 0)
-    fa, fb = heavy.fibre_coeff if corr_a else 0, s.b_fibre_coeff if corr_b else 0
+        return m_class, None, None, res, report
     n_class = _blowup(base.a - fa, base.b - fb, res.exc)
-    return m_class, _blowup(fa, fb, res.f_exc), n_class, res, (fa, fb)
+    return m_class, _blowup(fa, fb, res.f_exc), n_class, res, report
 
 
 @lru_cache(maxsize=None)
@@ -257,16 +262,11 @@ def _fibre_record(
     """One record per distinct fibre check: equal checks are one object.
 
     `fibre` is (points, kind, coefficient), as an `ABlock` is: the class is
-    coefficient*(0, 1) for a B-fibre and coefficient*(1, 0) otherwise."""
+    coefficient*(0, 1) for a B-fibre and coefficient*(1, 0) otherwise, one
+    tuple per value through the package's interner."""
     points, kind, c = fibre
-    curve = _curve(0, c) if kind == B_FIBRE else _curve(c, 0)
+    curve = _interned((0, c) if kind == B_FIBRE else (c, 0))
     return CheckRecord("fibre", value, strict, divisor, curve, points, kind)
-
-
-@lru_cache(maxsize=None)
-def _curve(c: int, d: int) -> tuple[int, int]:
-    """The fibre class (c, d), one tuple per value for all records."""
-    return c, d
 
 
 def certify_r1(
@@ -322,13 +322,11 @@ def verify(
         m_class = _blowup(base.a, base.b, cls.core.exc)
         return Certificate(s.type_id, base, cfg, R1, m_class, None, None, checks, None,
                            nef.passed and big.passed)
-    m_class, f_class, n_class, res, corr = _classes(cfg, cls, s, base)
+    m_class, f_class, n_class, res, report = _classes(cfg, cls, s, base)
     strict = n_class is not None
     checked, what = (n_class, "N") if strict else (m_class, "M")
     checks = [_square_record(2 * checked.base.a * checked.base.b - res.square, True, what)]
     checks += certify_fibres(checked, res, cfg, s, strict, what)
-    shared = cls.shared_point is not None
-    report = nonfibre.analyse(cls.label, res.coefs, corr, base, cfg.k, shared)
     passed = report.passed and all([c.passed for c in checks])
     return Certificate(s.type_id, base, cfg, cls.label, m_class, f_class, n_class,
                        tuple(checks), report, passed)
@@ -387,6 +385,4 @@ def iter_reports(
     for cfg in enumerate_configurations(k, s, part=part):
         cls = classify(cfg, s)
         if cls.label != R1:
-            *_, res, corr = _classes(cfg, cls, s, base)
-            yield nonfibre.analyse(cls.label, res.coefs, corr, base, k,
-                                   cls.shared_point is not None)
+            yield _classes(cfg, cls, s, base)[-1]

@@ -71,25 +71,6 @@ class BlowupClass:
         if not all(isinstance(c, int) for c in self.exc):
             raise TypeError("exceptional coefficients must be integers")
 
-    def __sub__(self, other: "BlowupClass") -> "BlowupClass":
-        if len(self.exc) != len(other.exc):
-            raise ValueError("exceptional arity mismatch")
-        return BlowupClass(
-            self.base - other.base,
-            tuple(c - d for c, d in zip(self.exc, other.exc)),
-        )
-
-    def __add__(self, other: "BlowupClass") -> "BlowupClass":
-        if len(self.exc) != len(other.exc):
-            raise ValueError("exceptional arity mismatch")
-        return BlowupClass(
-            self.base + other.base,
-            tuple(c + d for c, d in zip(self.exc, other.exc)),
-        )
-
-    def square(self) -> int:
-        return blowup_intersect(self, self)
-
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "exc": list(self.exc)}
 

@@ -220,16 +220,11 @@ def _source_rows(sys_: LinearSystem, include_neg_target: bool) -> list[_Row]:
 def _dedup(rows: list[_Row]) -> list[_Row]:
     """Keep, per coefficient vector, only the strongest bound."""
     best: dict[tuple[Fraction, ...], _Row] = {}
-    order: list[tuple[Fraction, ...]] = []
     for r in rows:
-        key = r.coeffs
-        cur = best.get(key)
-        if cur is None:
-            best[key] = r
-            order.append(key)
-        elif (r.bound, r.strict) > (cur.bound, cur.strict):
-            best[key] = r
-    return [best[k] for k in order]
+        cur = best.get(r.coeffs)
+        if cur is None or (r.bound, r.strict) > (cur.bound, cur.strict):
+            best[r.coeffs] = r  # a replaced row keeps its key's first-seen place
+    return list(best.values())
 
 
 def _ground_contradiction(row: _Row) -> bool:
@@ -247,7 +242,8 @@ def _eliminate(
 
     Returns (contradiction row or None, per-stage row snapshots).  The
     snapshot at index j holds the rows available before eliminating
-    variable j; snapshots[nvars] holds the final ground rows.
+    variable j; snapshots[nvars] holds the final ground rows.  A
+    `LinearSystem` has a variable, so the last stage scans the final rows.
     """
     snapshots: list[list[_Row]] = []
     current = _dedup(rows)
@@ -267,9 +263,6 @@ def _eliminate(
                 snapshots.append(current)
                 return r, snapshots
     snapshots.append(current)
-    for r in current:
-        if _ground_contradiction(r):
-            return r, snapshots
     return None, snapshots
 
 

@@ -211,6 +211,12 @@ def _lp_fact(name: str, description: str, sys_: lp.LinearSystem) -> ImplicationC
     )
 
 
+def _arith_fact(name: str, description: str, values: dict, ok: bool) -> ImplicationCheck:
+    return ImplicationCheck(
+        name, description, None, "valid" if ok else "failed", values, ok
+    )
+
+
 def _mvars(n: int) -> list[str]:
     return [f"m{i}" for i in range(1, n + 1)]
 
@@ -320,12 +326,10 @@ def survivor_chain_fact() -> ImplicationCheck:
     p3 = (3 * 3 - 8) * (4 * 3)
     diff_at_3 = 24 * 3 - 20
     ok = coeff_identity and p3 == 12 and p3 > 0 and diff_at_3 > 0 and 24 > 0
-    return ImplicationCheck(
+    return _arith_fact(
         "survivor-chain",
         "(3r-8)(4r) >= 12 > 0 for all integer r >= 3 "
         "(base value 12, increasing differences)",
-        None,
-        "valid" if ok else "failed",
         {"p(3)": p3, "difference_at_3": diff_at_3, "coefficient_identity": coeff_identity},
         ok,
     )
@@ -341,18 +345,10 @@ def interpolation_facts() -> tuple[ImplicationCheck, ...]:
     h0 = h0_ample(AUX_CLASS)
     out = []
     for name, orders, desc in specs:
-        ok = interpolating_divisor_exists(AUX_CLASS, orders)
         conditions = sum(jet_condition_count(t) for t in orders)
-        out.append(
-            ImplicationCheck(
-                name,
-                f"{desc} ({h0} > {conditions})",
-                None,
-                "valid" if ok else "failed",
-                {"h0": h0, "conditions": conditions},
-                ok,
-            )
-        )
+        out.append(_arith_fact(name, f"{desc} ({h0} > {conditions})",
+                               {"h0": h0, "conditions": conditions},
+                               interpolating_divisor_exists(AUX_CLASS, orders)))
     return tuple(out)
 
 
@@ -416,12 +412,6 @@ class UnboundedReport:
             ],
             "pass": self.passed,
         }
-
-
-def _arith_fact(name: str, description: str, values: dict, ok: bool) -> ImplicationCheck:
-    return ImplicationCheck(
-        name, description, None, "valid" if ok else "failed", values, ok
-    )
 
 
 @lru_cache(maxsize=None)

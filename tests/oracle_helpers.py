@@ -10,7 +10,9 @@ oracles (`genus_admissible`, `max_single_multiplicity`,
 
 The generic certificate path (`build_twist`, `build_correction`,
 `certify_square`, `certify_fibres`) builds M, F and N as `BlowupClass`
-objects from the configuration and pairs them through `blowup_intersect`;
+objects from the configuration, with the class arithmetic only tests use
+(`blowup_add`, `blowup_sub`, `blowup_square`), and pairs them through
+`blowup_intersect`;
 it is the reference for the engine's closed forms over the skeleton's
 residuals.  Its records are interned through the engine's own record
 caches, so equal checks are one object on both paths.
@@ -271,6 +273,25 @@ def threshold_classification(
     return plain, i, None, None
 
 
+def blowup_add(x: BlowupClass, y: BlowupClass) -> BlowupClass:
+    """x + y, componentwise."""
+    if len(x.exc) != len(y.exc):
+        raise ValueError("exceptional arity mismatch")
+    return BlowupClass(x.base + y.base, tuple(c + d for c, d in zip(x.exc, y.exc)))
+
+
+def blowup_sub(x: BlowupClass, y: BlowupClass) -> BlowupClass:
+    """x - y, componentwise."""
+    if len(x.exc) != len(y.exc):
+        raise ValueError("exceptional arity mismatch")
+    return BlowupClass(x.base - y.base, tuple(c - d for c, d in zip(x.exc, y.exc)))
+
+
+def blowup_square(x: BlowupClass) -> int:
+    """x.x on the blow-up."""
+    return blowup_intersect(x, x)
+
+
 def build_twist(
     k: int, weights: tuple[int, ...], base: DivisorClass | None = None
 ) -> BlowupClass:
@@ -302,12 +323,12 @@ def build_correction(
         for p in cfg.b_blocks[cls.heavy_b]:
             exc[p] += 1
     f_class = BlowupClass(fibre, tuple(exc))
-    return f_class, m_class - f_class
+    return f_class, blowup_sub(m_class, f_class)
 
 
 def certify_square(cls_: BlowupClass, strict: bool, what: str) -> CheckRecord:
     """The square check of a class, through the blow-up pairing."""
-    return _square_record(cls_.square(), strict, what)
+    return _square_record(blowup_square(cls_), strict, what)
 
 
 def certify_fibres(

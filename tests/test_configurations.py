@@ -146,7 +146,7 @@ def test_classify_case_iib_spec_instance():
     out = classify(cfg, surface(1))
     assert out.label == CASE_IIB
     assert out.heavy_a == 0
-    assert cfg.weight_of(cfg.b_blocks[out.heavy_b]) >= Fraction(4, 2)
+    assert sum(cfg.weights[p] for p in cfg.b_blocks[out.heavy_b]) >= Fraction(4, 2)
     assert out.shared_point in cfg.a_blocks[0].points
     assert out.shared_point in cfg.b_blocks[out.heavy_b]
 

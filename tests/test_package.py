@@ -1,6 +1,7 @@
 """The package's public surface: README's Library section, and no uncalled code."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -52,3 +53,57 @@ def test_every_module_level_definition_is_called_or_exported():
         and not any(ref == name and where != (module, name) for ref, where in references)
     }
     assert uncalled == set()
+
+
+def test_every_method_is_called():
+    """Each method and property of src/hyperjet is named in src/ outside its own body.
+
+    Dunders are exempt, and so is a method that overrides an attribute of a
+    base class (such as `cli._Parser.error`): the base class calls it.
+    """
+    methods = []  # (module, class, method node)
+    references = []  # (name, module, line) of every name and attribute in src/
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                references.append((node.id, path.stem, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, path.stem, node.lineno))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                methods += [(path.stem, top.name, fn) for fn in top.body
+                            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    uncalled = set()
+    for module, owner, fn in methods:
+        name = fn.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        cls = getattr(importlib.import_module(f"hyperjet.{module}"), owner)
+        if any(hasattr(base, name) for base in cls.__mro__[1:]):
+            continue
+        if not any(ref == name and not (where == module and fn.lineno <= line <= fn.end_lineno)
+                   for ref, where, line in references):
+            uncalled.add(f"{module}.{owner}.{name}")
+    assert uncalled == set()
+
+
+def test_every_traced_layer_resolves():
+    """Every `install("hyperjet...:...")` target of perfbench/tracer.py names an
+    attribute of the package, as the tracer resolves it.
+
+    A target that does not resolve drops its layer from the benchmark's
+    traced run without an error; this catches a rename in tier-1.
+    """
+    text = (ROOT / "perfbench" / "tracer.py").read_text()
+    targets = re.findall(r'install\(\s*"(hyperjet[\w.]*:[\w.]+)"', text)
+    assert len(targets) >= 10
+    absent = []
+    for target in targets:
+        module_name, _, path = target.partition(":")
+        owner = importlib.import_module(module_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            absent.append(target)
+    assert absent == []
