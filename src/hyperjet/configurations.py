@@ -314,6 +314,10 @@ def _multiset_block_partitions(ms: tuple[int, ...]) -> list[tuple[tuple[int, ...
         blocks.pop()
 
     rec(0)
+    # `rec` refers to itself through its closure, and to `results`; unbroken,
+    # that cycle and the set outlive the call, since the CLI runs without the
+    # cycle collector (`cli.main`)
+    del rec
     return sorted(results, reverse=True)
 
 
@@ -384,6 +388,10 @@ def incidence_structures(weights: tuple[int, ...]) -> tuple[tuple[tuple[int, ...
             cols.pop()
 
         rec(0)
+        # `rec` refers to itself through its closure, and through `emit` to
+        # every key in `row_sorted`; unbroken, that cycle and the keys outlive
+        # the call, since the CLI runs without the cycle collector (`cli.main`)
+        del rec, emit
     return tuple(sorted(out, reverse=True))
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperjet import cli, engine, nonfibre
+from hyperjet import cli, configurations, engine, nonfibre
 from hyperjet.cli import main
 from hyperjet.configurations import (
     ABlock,
@@ -411,6 +412,72 @@ def test_closed_stdout_ends_the_run_quietly(tmp_path):
                 assert proc.stderr == b"", (unbuffered, argv)
             else:  # a bundle file that cannot be written is still an input error
                 assert json.loads(proc.stderr)["error"]["type"] == "FileNotFoundError"
+
+
+def test_a_run_makes_no_reference_cycles():
+    # with none, the collector has nothing to find, and `main` runs without it
+    cfg = cli.build_run_config(["verify", "--types", "all", "--k", "2..5"])
+    gc.collect()  # the parser's own cycles stay outside the measurement
+    enabled, flags, garbage = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.garbage.clear()
+    try:
+        # earlier tests may have cached the k 2..5 tables: build them anew
+        for total in range(3, 7):
+            for weights in configurations.weight_partitions(total):
+                configurations.incidence_structures(weights)
+        cli.run_verify(cfg, io.StringIO())
+        gc.collect()
+        left = sorted({type(obj).__name__ for obj in gc.garbage})
+        assert not gc.garbage, f"{len(gc.garbage)} objects in cycles, of types {left}"
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = garbage
+        if enabled:
+            gc.enable()
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    def closed_stdout_catalog():
+        # the reader of stdout is gone: `main` ends quietly with status 141
+        read, write = os.pipe()
+        os.close(read)
+        stdout, sys.stdout = sys.stdout, os.fdopen(write, "w")
+        try:
+            return main(["catalog"])
+        finally:
+            sys.stdout.close()
+            sys.stdout = stdout
+
+    runs = (
+        (lambda: main(["verify", "--types", "1", "--k", "2"]), 0),
+        (lambda: main(["verify", "--types", "9"]), 2),
+        (closed_stdout_catalog, 141),
+    )
+    enabled = gc.isenabled()
+    try:
+        for on in (True, False):
+            gc.enable() if on else gc.disable()
+            for run, status in runs:
+                frozen = gc.get_freeze_count()
+                assert run() == status
+                assert gc.isenabled() == on and gc.get_freeze_count() == frozen, status
+    finally:
+        gc.enable() if enabled else gc.disable()
+    capsys.readouterr()
+    # as the process's entry, `main` freezes what the run kept before it returns
+    script = (
+        "import gc, sys\n"
+        "from hyperjet.cli import main\n"
+        "sys.argv = ['hyperjet', 'verify', '--types', '1', '--k', '2']\n"
+        "code = main()\n"
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.stderr.split() == ["0", "True", "True"], proc.stderr
 
 
 def test_matrix_dump(capsys):

@@ -380,18 +380,38 @@ def test_verify_even_type_has_no_b_variant_labels():
 
 
 def test_negative_control_finds_failure():
-    failures = [
-        cert
-        for cert in iter_certificates(surface(1), 2, DivisorClass(3, 4))
-        if not cert.passed
-    ]
-    assert failures
-    witnessed = False
-    for cert in failures:
-        witnessed = witnessed or any(not c.passed for c in cert.checks)
-        if cert.nonfibre_report and not cert.nonfibre_report.passed:
-            witnessed = True
-    assert witnessed
+    # at k 2, all types: every certificate fails, and the count of each
+    # layer's failures says which computed layer needs the base.  Every report
+    # fails `base-margin`, the premise that reads the base, and nothing else
+    # of its unbounded half; the bounded cells recover at (3, 7), the fibre
+    # layer (fibre, square and single-point checks) does not
+    expected = {  # base: (with a failing check record, with a failing bounded cell)
+        (3, 3): (64, 113),
+        (3, 4): (32, 103),
+        (4, 3): (43, 103),
+        (3, 7): (32, 0),
+    }
+    for base, (check_fails, bounded_fails) in expected.items():
+        certs = [
+            cert
+            for t in range(1, 8)
+            for cert in iter_certificates(surface(t), 2, DivisorClass(*base))
+        ]
+        assert len(certs) == 143 and not any(cert.passed for cert in certs), base
+        failing = [cert for cert in certs if not all(c.passed for c in cert.checks)]
+        assert len(failing) == check_fails, base
+        nef = [
+            cert for cert in failing
+            if any(c.kind == "nef-threshold" and not c.passed for c in cert.checks)
+        ]
+        assert len(nef) == 7 and all(cert.label == "R1" for cert in nef), base
+        reports = [cert.nonfibre_report for cert in certs if cert.nonfibre_report]
+        assert len(reports) == 136, base
+        assert sum(not all(c.passed for c in r.bounded) for r in reports) == bounded_fails
+        for report in reports:
+            unbounded = report.unbounded
+            assert all(fact.passed for fact in unbounded.facts), base
+            assert [p.name for p in unbounded.premises if not p.passed] == ["base-margin"]
 
 
 def test_externally_certified_k1():
