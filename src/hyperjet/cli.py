@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import json
 import os
@@ -36,8 +35,7 @@ from .surfaces import SurfaceType, surface
 SCHEMA_VERSION = "1"
 
 
-@dataclasses.dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     mode: str
     surface_types: tuple[int, ...] = tuple(range(1, 8))
     k_min: int = 2

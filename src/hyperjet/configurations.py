@@ -27,7 +27,6 @@ classify as heavy.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
@@ -63,8 +62,7 @@ class ABlock(NamedTuple):
         }
 
 
-@dataclass(frozen=True, slots=True)
-class JetConfiguration:
+class JetConfiguration(NamedTuple):
     k: int
     weights: tuple[int, ...]
     a_blocks: tuple[ABlock, ...]
@@ -92,8 +90,7 @@ class JetConfiguration:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Residual:
+class Residual(NamedTuple):
     """The exceptional side of M = pi*L - sum (k_i + 1)E_i or of N = M - F, whatever
     the base L and the type: with the class's base (a, b), its square is 2ab -
     `square`, its pairing with a fibre (c, d) through a block cb + da - the block's sum."""
@@ -106,12 +103,19 @@ class Residual:
     square: int  # sum of exc_i^2
 
 
-@dataclass(frozen=True, slots=True)
-class Core(Residual):
+class Core(NamedTuple):
     """The structure memo's record, whatever the type: M's residual, the heavy
     blocks, and N's residual for each set of corrected fibres the structure
-    allows (None where it allows none)."""
+    allows (None where it allows none).
 
+    Its first fields are `Residual`'s, for M, so a core reads as M's residual."""
+
+    f_exc: None
+    exc: tuple[int, ...]
+    a_sums: tuple[int, ...]
+    b_sums: tuple[int, ...]
+    coefs: tuple[int, ...]
+    square: int
     heavy_a: int | None  # the A-block with 2w > k+1
     heavy_b: int | None  # with heavy_a, the first B-block with 2w >= k+1 meeting it; else 2w > k+1
     shared_point: int | None  # the point heavy_a and heavy_b share
@@ -119,7 +123,7 @@ class Core(Residual):
     n_b: Residual | None  # the heavy B-fibre corrected
     n_ab: Residual | None  # both
 
-    def residual(self, corr_a: bool, corr_b: bool) -> Residual:
+    def residual(self, corr_a: bool, corr_b: bool) -> Residual | Core:
         return (self, self.n_a, self.n_b, self.n_ab)[corr_a + 2 * corr_b]
 
 
@@ -212,7 +216,8 @@ def _structure(
 def _interned(value):
     """The first value equal to `value` and of its type: the package's one interner.
 
-    Typed, because an `ABlock` equals the plain tuple of its fields."""
+    Typed, because a NamedTuple, such as an `ABlock`, equals the plain tuple of
+    its fields."""
     return value
 
 

@@ -41,9 +41,8 @@ differs between certificates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import nonfibre
 from .configurations import (
@@ -68,28 +67,37 @@ def default_base(k: int) -> DivisorClass:
     return DivisorClass(k + 2, k + 2)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckRecord:
+class CheckRecord(NamedTuple("CheckRecord", [
+    ("kind", str),  # "square" | "fibre" | "nef-threshold" | "bigness"
+    ("value", int),
+    ("strict", bool),
+    ("divisor", str | None),
+    ("curve", tuple[int, int] | None),
+    ("block", tuple[int, ...] | None),
+    ("fibre", str | None),
+    ("text", str | None),
+    ("passed", bool),
+])):
     """One inequality of a certificate: value > 0 (strict) or value >= 0.
 
     Square and fibre checks name the checked divisor ("M" or "N") and, for a
     fibre, its kind; their description is rendered from these fields.  The
     single-point checks carry their text as built.  The verdict is decided
-    once, when the record is made.
+    once, when the record is made: `__new__` takes every field but `passed`.
     """
 
-    kind: str  # "square" | "fibre" | "nef-threshold" | "bigness"
-    value: int
-    strict: bool
-    divisor: str | None = None
-    curve: tuple[int, int] | None = None
-    block: tuple[int, ...] | None = None
-    fibre: str | None = None
-    text: str | None = None
-    passed: bool = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passed", self.value > 0 if self.strict else self.value >= 0)
+    def __new__(
+        cls, kind: str, value: int, strict: bool, divisor: str | None = None,
+        curve: tuple[int, int] | None = None, block: tuple[int, ...] | None = None,
+        fibre: str | None = None, text: str | None = None,
+    ) -> "CheckRecord":
+        passed = value > 0 if strict else value >= 0
+        return tuple.__new__(cls, (kind, value, strict, divisor, curve, block, fibre, text, passed))
+
+    def __getnewargs__(self) -> tuple:
+        return self[:-1]
 
     @property
     def description(self) -> str:
@@ -126,7 +134,6 @@ _SESHADRI_AXIOM = {
 }
 
 
-@dataclass
 class Certificate:
     """One configuration's certificate, holding only what its case computed.
 
@@ -134,18 +141,35 @@ class Certificate:
     the configuration, N and the label: a case that corrects a fibre has N,
     rests on Norimatsu's vanishing and records F as SNC by axiom; the single
     point rests on the Seshadri axiom.
+
+    A plain class, not a tuple: an instance can be weakly referenced and its
+    `__init__` replaced, which the benchmark's tracer does to count the
+    certificates alive.
     """
 
-    surface_type: int
-    base: DivisorClass
-    config: JetConfiguration
-    label: str
-    m_class: BlowupClass
-    f_class: BlowupClass | None
-    n_class: BlowupClass | None
-    checks: tuple[CheckRecord, ...]
-    nonfibre_report: nonfibre.NonFibreReport | None
-    passed: bool
+    def __init__(
+        self, surface_type: int, base: DivisorClass, config: JetConfiguration, label: str,
+        m_class: BlowupClass, f_class: BlowupClass | None, n_class: BlowupClass | None,
+        checks: tuple[CheckRecord, ...], nonfibre_report: nonfibre.NonFibreReport | None,
+        passed: bool,
+    ) -> None:
+        self.surface_type = surface_type
+        self.base = base
+        self.config = config
+        self.label = label
+        self.m_class = m_class
+        self.f_class = f_class
+        self.n_class = n_class
+        self.checks = checks
+        self.nonfibre_report = nonfibre_report
+        self.passed = passed
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Certificate:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None  # equal by value, and mutable
 
     @property
     def k(self) -> int:
@@ -332,11 +356,13 @@ def verify(
                        tuple(checks), report, passed)
 
 
-@dataclass
 class SweepSummary:
-    total: int = 0
-    failed: int = 0
-    label_counts: dict = field(default_factory=dict)
+    """The running count of a sweep's certificates: total, failed and per label."""
+
+    def __init__(self) -> None:
+        self.total = 0
+        self.failed = 0
+        self.label_counts: dict[str, int] = {}
 
     def merge(self, tally: dict[str, list[int]]) -> None:
         """Add a [count, failed] tally per label."""

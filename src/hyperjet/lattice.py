@@ -8,19 +8,22 @@ Python integers are arbitrary precision, so overflow cannot silently wrap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, slots=True)
-class DivisorClass:
-    """Integer pair (a, b): coefficients of A/mu and (mu/gamma)B."""
+class DivisorClass(NamedTuple("DivisorClass", [("a", int), ("b", int)])):
+    """Integer pair (a, b): coefficients of A/mu and (mu/gamma)B.
 
-    a: int
-    b: int
+    A tuple, so it hashes in C.  Like every value type of the package that
+    checks its fields, it subclasses the NamedTuple of its fields and checks
+    them in `__new__`."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int) -> "DivisorClass":
+        if not isinstance(a, int) or not isinstance(b, int):
             raise TypeError("divisor class coefficients must be integers")
+        return tuple.__new__(cls, (a, b))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         return DivisorClass(self.a + other.a, self.b + other.b)
@@ -30,6 +33,10 @@ class DivisorClass:
 
     def __rmul__(self, n: int) -> "DivisorClass":
         return DivisorClass(n * self.a, n * self.b)
+
+    def __mul__(self, n: object) -> "DivisorClass":
+        # a tuple's `*` would repeat the pair
+        raise TypeError("a divisor class is scaled on the left: n * D")
 
     def to_pair(self) -> tuple[int, int]:
         return (self.a, self.b)
@@ -60,16 +67,15 @@ def h0_ample(d: DivisorClass) -> int:
     return chi(d)
 
 
-@dataclass(frozen=True, slots=True)
-class BlowupClass:
+class BlowupClass(NamedTuple("BlowupClass", [("base", DivisorClass), ("exc", tuple)])):
     """Pullback minus exceptional multiples: pi*(base) - sum(exc[i] * E_i)."""
 
-    base: DivisorClass
-    exc: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in self.exc):
+    def __new__(cls, base: DivisorClass, exc: tuple[int, ...]) -> "BlowupClass":
+        if not all(isinstance(c, int) for c in exc):
             raise TypeError("exceptional coefficients must be integers")
+        return tuple.__new__(cls, (base, exc))
 
     def to_json(self) -> dict:
         return {"base": self.base.to_json(), "exc": list(self.exc)}

@@ -20,10 +20,9 @@ never as "valid".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 GE = ">="
 GT = ">"
@@ -47,17 +46,15 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class Constraint:
+class Constraint(NamedTuple("Constraint", [("coeffs", tuple), ("rel", str), ("bound", Fraction)])):
     """coeffs . x  REL  bound"""
 
-    coeffs: tuple[Fraction, ...]
-    rel: str
-    bound: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rel not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.rel!r}")
+    def __new__(cls, coeffs: tuple[Fraction, ...], rel: str, bound: Fraction) -> "Constraint":
+        if rel not in _RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+        return tuple.__new__(cls, (coeffs, rel, bound))
 
     def evaluate(self, point: tuple[Fraction, ...]) -> Fraction:
         return sum(c * v for c, v in zip(self.coeffs, point, strict=True))
@@ -88,23 +85,25 @@ def make_constraint(
     return Constraint(coeffs, rel, _frac(bound))
 
 
-@dataclass(frozen=True, slots=True)
-class LinearSystem:
-    variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    target: Constraint
+class LinearSystem(NamedTuple("LinearSystem", [
+    ("variables", tuple), ("constraints", tuple), ("target", Constraint),
+])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.variables:
+    def __new__(
+        cls, variables: tuple[str, ...], constraints: tuple[Constraint, ...], target: Constraint
+    ) -> "LinearSystem":
+        if not variables:
             raise ValueError("system needs at least one variable")
-        if not all(isinstance(v, str) for v in self.variables):
+        if not all(isinstance(v, str) for v in variables):
             raise ValueError("variable names must be strings")
-        n = len(self.variables)
-        if len(set(self.variables)) != n:
+        n = len(variables)
+        if len(set(variables)) != n:
             raise ValueError("variable names must be distinct")
-        for c in (*self.constraints, self.target):
+        for c in (*constraints, target):
             if len(c.coeffs) != n:
                 raise ValueError("coefficient arity mismatch")
+        return tuple.__new__(cls, (variables, constraints, target))
 
     def to_json(self) -> dict:
         return {
@@ -161,12 +160,15 @@ def system(
 # constraints (sign -1 is the flipped half of an equality) and "neg-target".
 
 
-@dataclass
 class _Row:
-    coeffs: tuple[Fraction, ...]
-    bound: Fraction
-    strict: bool
-    prov: dict = field(default_factory=dict)
+    __slots__ = ("coeffs", "bound", "strict", "prov")
+
+    def __init__(self, coeffs: tuple[Fraction, ...], bound: Fraction, strict: bool,
+                 prov: dict) -> None:
+        self.coeffs = coeffs
+        self.bound = bound
+        self.strict = strict
+        self.prov = prov
 
     def scaled(self, f: Fraction) -> "_Row":
         return _Row(
@@ -327,8 +329,7 @@ VACUOUSLY_VALID = "vacuously_valid"
 COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True, slots=True)
-class EntailmentResult:
+class EntailmentResult(NamedTuple):
     status: str
     witness: tuple[tuple[object, Fraction], ...] | None = None
     counterexample: dict[str, Fraction] | None = None

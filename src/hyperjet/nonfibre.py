@@ -29,9 +29,9 @@ Two regimes cover all candidates:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from . import lp
 from .lattice import (
@@ -133,8 +133,7 @@ def _assignment_maxima(coefs: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[t
     return maxima, witnesses
 
 
-@dataclass(frozen=True, slots=True)
-class BoundedCellCheck:
+class BoundedCellCheck(NamedTuple):
     """Exact minimum of the target over one class (alpha, beta)."""
 
     alpha: int
@@ -184,8 +183,7 @@ def bounded_cells(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ImplicationCheck:
+class ImplicationCheck(NamedTuple):
     name: str
     description: str
     system: lp.LinearSystem | None
@@ -396,8 +394,7 @@ _REGIMES = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class UnboundedReport:
+class UnboundedReport(NamedTuple):
     facts: tuple[ImplicationCheck, ...]
     premises: tuple[ImplicationCheck, ...]
     branches: tuple[tuple[str, tuple[str, ...]], ...]
@@ -470,8 +467,7 @@ def check_unbounded(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class NonFibreReport:
+class NonFibreReport(NamedTuple):
     key: str
     label: str
     bounded: tuple[BoundedCellCheck, ...]

@@ -12,8 +12,6 @@ integer pairs (a, b) in that basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 from .lattice import DivisorClass
 
@@ -24,59 +22,44 @@ FULL_A = "full-A"              # general fibre A = (mu, 0)
 B_FIBRE = "B"                  # fibre of the second fibration, (0, gamma/mu)
 
 
-@dataclass(frozen=True)
 class SurfaceType:
-    """One row of the classification: group, singular multiplicities, mu, gamma."""
+    """One row of the classification: group, singular multiplicities, mu, gamma.
 
-    type_id: int
-    group_name: str
-    singular_multiplicities: tuple[int, ...]
-    mu: int
-    gamma: int
+    A plain class, not a tuple: it computes its derived per-type values once,
+    when it is made, and two types are equal only if they are one object
+    (the catalog's)."""
 
-    def __post_init__(self) -> None:
-        if self.mu != math.lcm(*self.singular_multiplicities):
+    __slots__ = ("type_id", "group_name", "singular_multiplicities", "mu", "gamma",
+                 "b_fibre_coeff", "has_unit_b_class", "intermediate_fibre_coeffs",
+                 "a_fibres", "fresh_fibres")
+
+    def __init__(self, type_id: int, group_name: str,
+                 singular_multiplicities: tuple[int, ...], mu: int, gamma: int) -> None:
+        if mu != math.lcm(*singular_multiplicities):
             raise ValueError(
-                f"type {self.type_id}: mu={self.mu} is not the lcm of "
-                f"{self.singular_multiplicities}"
+                f"type {type_id}: mu={mu} is not the lcm of {singular_multiplicities}"
             )
-        if self.gamma % self.mu != 0:
-            raise ValueError(f"type {self.type_id}: mu must divide gamma")
-
-    @cached_property
-    def b_fibre_coeff(self) -> int:
-        """Second coordinate of the class of a fibre B, i.e. gamma/mu."""
-        return self.gamma // self.mu
-
-    @cached_property
-    def has_unit_b_class(self) -> bool:
-        """True iff (0, 1) is effective, i.e. mu == gamma (odd types)."""
-        return self.mu == self.gamma
-
-    @property
-    def intermediate_fibre_coeffs(self) -> tuple[int, ...]:
-        """Coefficients m of singular fibres m*(A/mu) with 1 < m <= mu/2.
-
-        Nonempty exactly for types 3, 4 and 7.
-        """
-        coeffs = {self.mu // m for m in self.singular_multiplicities}
-        return tuple(sorted(c for c in coeffs if c > 1))
-
-    @cached_property
-    def a_fibres(self) -> tuple[tuple[str, int], ...]:
-        """The (kind, coefficient) pairs an A-block may carry, minimal first.
-
-        The minimal singular fibre (1, 0), each intermediate fibre m*(A/mu),
-        then the full fibre A = (mu, 0).  Computed once per type.
-        """
+        if gamma % mu != 0:
+            raise ValueError(f"type {type_id}: mu must divide gamma")
+        self.type_id = type_id
+        self.group_name = group_name
+        self.singular_multiplicities = singular_multiplicities
+        self.mu = mu
+        self.gamma = gamma
+        # second coordinate of the class of a fibre B, i.e. gamma/mu
+        self.b_fibre_coeff = gamma // mu
+        # (0, 1) is effective iff mu == gamma (odd types)
+        self.has_unit_b_class = mu == gamma
+        # the m of the singular fibres m*(A/mu) with 1 < m <= mu/2: types 3, 4, 7
+        coeffs = {mu // m for m in singular_multiplicities}
+        self.intermediate_fibre_coeffs = tuple(sorted(c for c in coeffs if c > 1))
+        # the (kind, coefficient) pairs an A-block may carry, minimal first: the
+        # minimal singular fibre (1, 0), each intermediate fibre, then A = (mu, 0)
         inter = tuple((INTERMEDIATE_A, m) for m in self.intermediate_fibre_coeffs)
-        return ((SINGULAR_A, 1), *inter, (FULL_A, self.mu))
-
-    @cached_property
-    def fresh_fibres(self) -> tuple[tuple[tuple[()], str, int], ...]:
-        """Each of `fibre_classes` as a fibre through no point: (points, kind,
-        coefficient), the class being coefficient*(1, 0), or *(0, 1) for B."""
-        return tuple(
+        self.a_fibres = ((SINGULAR_A, 1), *inter, (FULL_A, mu))
+        # each of `fibre_classes` as a fibre through no point: (points, kind,
+        # coefficient), the class being coefficient*(1, 0), or *(0, 1) for B
+        self.fresh_fibres = tuple(
             ((), kind, cls.b if kind == B_FIBRE else cls.a) for cls, kind in fibre_classes(self)
         )
 
@@ -93,6 +76,21 @@ class SurfaceType:
             "gamma": self.gamma,
             "fibre_classes": classes,
         }
+
+
+def fibre_classes(s: SurfaceType) -> tuple[tuple[DivisorClass, str], ...]:
+    """Curve classes of fibres that positivity checks intersect against.
+
+    Returns the minimal singular fibre class (1, 0) (which bounds every
+    singular fibre m*(A/mu) from below), the full fibre A = (mu, 0), and the
+    fibre B = (0, gamma/mu).  B itself is always effective; only its
+    submultiples may fail to be.
+    """
+    return (
+        (DivisorClass(1, 0), SINGULAR_A),
+        (DivisorClass(s.mu, 0), FULL_A),
+        (DivisorClass(0, s.b_fibre_coeff), B_FIBRE),
+    )
 
 
 _CATALOG = (
@@ -116,18 +114,3 @@ def surface(type_id: int) -> SurfaceType:
     if not 1 <= type_id <= 7:
         raise ValueError(f"surface type id must be in 1..7, got {type_id}")
     return _CATALOG[type_id - 1]
-
-
-def fibre_classes(s: SurfaceType) -> tuple[tuple[DivisorClass, str], ...]:
-    """Curve classes of fibres that positivity checks intersect against.
-
-    Returns the minimal singular fibre class (1, 0) (which bounds every
-    singular fibre m*(A/mu) from below), the full fibre A = (mu, 0), and the
-    fibre B = (0, gamma/mu).  B itself is always effective; only its
-    submultiples may fail to be.
-    """
-    return (
-        (DivisorClass(1, 0), SINGULAR_A),
-        (DivisorClass(s.mu, 0), FULL_A),
-        (DivisorClass(0, s.b_fibre_coeff), B_FIBRE),
-    )
