@@ -588,14 +588,19 @@ def main(argv: list[str] | None = None) -> int:
 
     A run makes no reference cycles (a test checks this), so it runs without
     the cycle collector: `main` turns it off, which `--jobs` workers inherit,
-    and restores the caller's setting on every way out.  As the process's
-    entry (`argv` None), it also freezes every object the run kept, so that
-    the interpreter's collections at exit do not walk the tables and caches.
+    collects the parser's cycles once, and restores the caller's setting on
+    every way out.  As the process's entry (`argv` None), it also freezes
+    every object the run kept, so that the interpreter's collections at exit
+    do not walk the tables and caches.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        code = _run(build_run_config(sys.argv[1:] if argv is None else argv))
+        cfg = build_run_config(sys.argv[1:] if argv is None else argv)
+        # argparse leaves its parsers in reference cycles (about 330 objects),
+        # all made since the collector went off: a young collection frees them
+        gc.collect(0)
+        code = _run(cfg)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

@@ -232,40 +232,49 @@ class Classification(NamedTuple):
 def classify(cfg: JetConfiguration, s: SurfaceType) -> Classification:
     """Assign a configuration to its proof case.  Total and deterministic.
 
-    Validates the configuration.  A single point is R1 at every k >= 0; any
-    other configuration requires k >= 2: 1-jet ampleness of (3,3) is
-    certified externally, so k = 1 never reaches the case analysis.  The
-    heavy blocks come from the structure memo; the type adds which A-fibres
-    exist (`SurfaceType.a_fibres`) and whether B-blocks count.  The result
-    carries the core, so a certificate looks its structure up once.
+    Validates the configuration: its structure through the structure memo,
+    then each A-block's fibre kind against the type (`SurfaceType.a_fibres`).
+    A single point is R1 at every k >= 0; any other configuration requires
+    k >= 2: 1-jet ampleness of (3,3) is certified externally, so k = 1 never
+    reaches the case analysis.  The label is `case_label` of the blocks and
+    the memo's core, and the result carries the core, so a certificate looks
+    its structure up once.  A sweep certifies the skeleton table's
+    configurations, which `_skeletons` has checked, without calling this.
     """
-    st = cfg.validate()
+    core = cfg.validate()
     for ab in cfg.a_blocks:
         if (ab.kind, ab.fibre_coeff) not in s.a_fibres:
             raise ValueError(
                 f"type {s.type_id} has no {ab.kind} fibre with coefficient {ab.fibre_coeff}"
             )
-    if cfg.r == 1:
-        return Classification(R1, None, None, None, st)
-    if cfg.k < 2:
+    if cfg.r > 1 and cfg.k < 2:
         raise ValueError(
             "classification requires k >= 2 (k = 1 is certified externally "
             "via very ampleness of type (3,3))"
         )
-    # Where (0,1) is not effective, B-fibres have class (0, gamma/mu) with
-    # gamma/mu >= 2 and can never become critical, so B-blocks are ignored
-    # and the b-variant labels and IV do not occur.
-    if st.heavy_a is None:
-        if s.has_unit_b_class and st.heavy_b is not None:
-            return Classification(CASE_IV, None, st.heavy_b, None, st)
-        return Classification(CASE_I, None, None, None, st)
-    kind = cfg.a_blocks[st.heavy_a].kind
-    if not s.has_unit_b_class or st.heavy_b is None:
-        return Classification(_a_label(kind, False), st.heavy_a, None, None, st)
-    return Classification(_a_label(kind, True), st.heavy_a, st.heavy_b, st.shared_point, st)
+    label = case_label(cfg.a_blocks, core, s)
+    if label == R1:
+        return Classification(R1, None, None, None, core)
+    heavy_b = core.heavy_b if s.has_unit_b_class else None
+    shared = None if heavy_b is None else core.shared_point
+    return Classification(label, core.heavy_a, heavy_b, shared, core)
 
 
-def _a_label(kind: str, with_heavy_b: bool) -> str:
+def case_label(a_blocks: tuple[ABlock, ...], core: Core, s: SurfaceType) -> str:
+    """The proof case of a well-formed configuration on type s, from its A-blocks
+    and its structure's core.
+
+    Where (0,1) is not effective, B-fibres have class (0, gamma/mu) with
+    gamma/mu >= 2 and can never become critical, so B-blocks are ignored and
+    the b-variant labels and IV do not occur.  The single point's core has a
+    heavy A-block, but its case is R1 whatever the block.
+    """
+    if len(core.exc) == 1:
+        return R1
+    with_heavy_b = s.has_unit_b_class and core.heavy_b is not None
+    if core.heavy_a is None:
+        return CASE_IV if with_heavy_b else CASE_I
+    kind = a_blocks[core.heavy_a].kind
     if kind == SINGULAR_A:
         return CASE_IIB if with_heavy_b else CASE_IIA
     if kind == INTERMEDIATE_A:
@@ -416,15 +425,16 @@ def _structure_to_blocks(
 
 
 @lru_cache(maxsize=None)
-def _skeletons(k: int) -> tuple[tuple[JetConfiguration, ...], tuple[int | None, ...]]:
-    """Every labeled matrix of k with its heavy A-row, shared by all seven types.
+def _skeletons(k: int) -> tuple[tuple[JetConfiguration, ...], tuple[Core, ...]]:
+    """Every labeled matrix of k with its structure's core, shared by all seven types.
 
     One entry per matrix: the configuration with every A-block singular and,
-    in the second tuple, the index of its heavy A-block (None if no A-block
-    is heavy).  The single point comes first, then the matrices by point
-    count, weight vector and matrix, so a cap on the point count is a prefix.
-    Weight tuples, blocks and singular A-blocks are interned (`_interned`),
-    for every k: equal ones are one object.
+    in the second tuple, the core the structure memo keeps for it, which
+    checks it once for every type, heavy-kind variant and base.  The single
+    point comes first, then the matrices by point count, weight vector and
+    matrix, so a cap on the point count is a prefix.  Weight tuples, blocks
+    and singular A-blocks are interned (`_interned`), for every k: equal ones
+    are one object.
     """
     def singular(pts: tuple[int, ...]) -> ABlock:
         return _interned(ABlock(_interned(pts), SINGULAR_A, 1))
@@ -433,7 +443,7 @@ def _skeletons(k: int) -> tuple[tuple[JetConfiguration, ...], tuple[int | None, 
     single = JetConfiguration(
         k, _interned((k + 1,)), _interned((singular(point),)), _interned((point,))
     )
-    table, heavy = [single], [None]
+    table, cores = [single], [_structure(k, single.weights, (point,), single.b_blocks)]
     # the partitions by length, each length in descending order (the sort
     # is stable), after the single point (k+1,)
     for weights in sorted(weight_partitions(k + 1), key=len)[1:]:
@@ -449,13 +459,35 @@ def _skeletons(k: int) -> tuple[tuple[JetConfiguration, ...], tuple[int | None, 
             table.append(cfg)
             # the first call of `cfg.validate()`, with the interned A-point
             # tuple: the memo keeps that call's key
-            heavy.append(_structure(k, cfg.weights, a_pts, cfg.b_blocks).heavy_a)
-    return tuple(table), tuple(heavy)
+            cores.append(_structure(k, cfg.weights, a_pts, cfg.b_blocks))
+    return tuple(table), tuple(cores)
 
 
 def skeleton_count(k: int, r_max: int) -> int:
     """The number of entries of k's skeleton table with at most r_max points."""
     return bisect_right(_skeletons(k)[0], r_max, key=lambda cfg: cfg.r)
+
+
+def _walk(
+    k: int, s: SurfaceType, part: slice | None = None
+) -> Iterator[tuple[JetConfiguration, Core]]:
+    """Each configuration of `enumerate_configurations(k, s, part=part)`, in
+    its order, with its structure's core: an entry's variants share its core."""
+    if k < 2:
+        raise ValueError("enumeration requires k >= 2 (k = 1 is certified externally)")
+    configs, cores = _skeletons(k)
+    part = slice(None) if part is None else part
+    for cfg, core in zip(configs[part], cores[part]):
+        yield cfg, core
+        heavy = core.heavy_a
+        # the single point's block is heavy, but it has no variants
+        if heavy is not None and len(core.exc) > 1:
+            blocks = cfg.a_blocks
+            points = blocks[heavy].points
+            for kind, coeff in s.a_fibres[1:]:
+                variant = _interned(ABlock(points, kind, coeff))
+                a_blocks = blocks[:heavy] + (variant,) + blocks[heavy + 1:]
+                yield JetConfiguration(k, cfg.weights, a_blocks, cfg.b_blocks), core
 
 
 def enumerate_configurations(
@@ -476,16 +508,5 @@ def enumerate_configurations(
     entries are those of at most r_max points, and consecutive slices of
     them enumerate that scope in order.
     """
-    if k < 2:
-        raise ValueError("enumeration requires k >= 2 (k = 1 is certified externally)")
-    configs, heavies = _skeletons(k)
-    part = slice(None) if part is None else part
-    for cfg, heavy in zip(configs[part], heavies[part]):
+    for cfg, _ in _walk(k, s, part):
         yield cfg
-        if heavy is not None:
-            blocks = cfg.a_blocks
-            points = blocks[heavy].points
-            for kind, coeff in s.a_fibres[1:]:
-                variant = _interned(ABlock(points, kind, coeff))
-                a_blocks = blocks[:heavy] + (variant,) + blocks[heavy + 1:]
-                yield JetConfiguration(k, cfg.weights, a_blocks, cfg.b_blocks)

@@ -20,11 +20,15 @@ from L^2 - (k+2)^2 > 0.  All arithmetic is exact.
 Once per skeleton, for all types, heavy-kind variants and bases, the structure
 memo (`JetConfiguration.validate`) keeps its `Core`: M's exceptional vector and,
 for each set of corrected fibres it allows, F's and N's, their block sums, sorted
-vectors and sums of squares.  Per certificate, `verify` pays only for what
-differs between certificates:
+vectors and sums of squares.  The skeleton table holds each entry's core, and a
+certificate pays only for what differs between certificates:
 
-* one memo lookup: `classify` reads the core and hands it on in the
-  `Classification`, and `_classes` picks the residual of the corrected fibres;
+* no memo lookup in a sweep: `iter_certificates` walks the table and
+  certifies each entry and its heavy-kind variants from the entry's core,
+  with the case label `configurations.case_label` reads off it; `verify` of
+  one configuration makes one, as `classify` checks the configuration and
+  hands the core on in the `Classification`.  `_classes` picks the residual
+  of the corrected fibres;
 * M, F and N, memoized by value, and the non-fibre report of the checked
   class, which `_classes` asks of the report cache (`nonfibre.analyse`);
 * the square 2ab less the sum of squares and each block's fibre value, c*b
@@ -48,12 +52,13 @@ from . import nonfibre
 from .configurations import (
     ABlock,
     R1,
-    Classification,
+    Core,
     JetConfiguration,
     Residual,
     _interned,
+    _walk,
+    case_label,
     classify,
-    enumerate_configurations,
 )
 from .lattice import BlowupClass, DivisorClass, intersect
 from .surfaces import B_FIBRE, SINGULAR_A, SurfaceType
@@ -213,20 +218,21 @@ def _blowup(a: int, b: int, exc: tuple[int, ...]) -> BlowupClass:
 
 
 def _classes(
-    cfg: JetConfiguration, cls: Classification, s: SurfaceType, base: DivisorClass
+    cfg: JetConfiguration, label: str, core: Core, s: SurfaceType, base: DivisorClass
 ) -> tuple[BlowupClass, BlowupClass | None, BlowupClass | None, Residual,
            nonfibre.NonFibreReport]:
     """M, the SNC correction F, N = M - F, the checked class's residual and its
-    non-fibre report, from the core the classification carries.  F corrects the
-    heavy A-fibre when it is the minimal (singular) one and the heavy B-fibre if
-    any; a case with neither has F = N = None and its report checks M."""
-    core = cls.core
-    heavy = None if cls.heavy_a is None else cfg.a_blocks[cls.heavy_a]
-    corr_a, corr_b = heavy is not None and heavy.kind == SINGULAR_A, cls.heavy_b is not None
+    non-fibre report, from the structure's core.  F corrects the heavy A-fibre
+    when it is the minimal (singular) one and, where (0,1) is effective, the
+    heavy B-block's fibre if any; a case with neither has F = N = None and its
+    report checks M."""
+    heavy = core.heavy_a
+    corr_a = heavy is not None and cfg.a_blocks[heavy].kind == SINGULAR_A
+    corr_b = s.has_unit_b_class and core.heavy_b is not None
     res = core.residual(corr_a, corr_b)
-    fa, fb = heavy.fibre_coeff if corr_a else 0, s.b_fibre_coeff if corr_b else 0
-    shared = cls.shared_point is not None
-    report = nonfibre.analyse(cls.label, res.coefs, (fa, fb), base, cfg.k, shared)
+    fa, fb = cfg.a_blocks[heavy].fibre_coeff if corr_a else 0, s.b_fibre_coeff if corr_b else 0
+    shared = corr_b and core.shared_point is not None
+    report = nonfibre.analyse(label, res.coefs, (fa, fb), base, cfg.k, shared)
     m_class = _blowup(base.a, base.b, core.exc)
     if res.f_exc is None:
         return m_class, None, None, res, report
@@ -337,22 +343,31 @@ def externally_certified_k1(s: SurfaceType) -> dict:
 def verify(
     cfg: JetConfiguration, s: SurfaceType, base: DivisorClass | None = None
 ) -> Certificate:
-    """Full certificate for one configuration, from its skeleton's core."""
+    """Full certificate for one configuration: `classify` checks it and reads
+    its structure's core, from which `_certify` builds the certificate."""
     if base is None:
         base = default_base(cfg.k)
     cls = classify(cfg, s)
-    if cls.label == R1:
+    return _certify(cfg, s, base, cls.core, cls.label)
+
+
+def _certify(
+    cfg: JetConfiguration, s: SurfaceType, base: DivisorClass, core: Core, label: str
+) -> Certificate:
+    """The certificate of a well-formed configuration on type s, from its
+    structure's core and its case label."""
+    if label == R1:
         nef, big = checks = _r1_checks(cfg.k + 2, base)
-        m_class = _blowup(base.a, base.b, cls.core.exc)
+        m_class = _blowup(base.a, base.b, core.exc)
         return Certificate(s.type_id, base, cfg, R1, m_class, None, None, checks, None,
                            nef.passed and big.passed)
-    m_class, f_class, n_class, res, report = _classes(cfg, cls, s, base)
+    m_class, f_class, n_class, res, report = _classes(cfg, label, core, s, base)
     strict = n_class is not None
     checked, what = (n_class, "N") if strict else (m_class, "M")
     checks = [_square_record(2 * checked.base.a * checked.base.b - res.square, True, what)]
     checks += certify_fibres(checked, res, cfg, s, strict, what)
     passed = report.passed and all([c.passed for c in checks])
-    return Certificate(s.type_id, base, cfg, cls.label, m_class, f_class, n_class,
+    return Certificate(s.type_id, base, cfg, label, m_class, f_class, n_class,
                        tuple(checks), report, passed)
 
 
@@ -387,15 +402,18 @@ class SweepSummary:
 def iter_certificates(
     s: SurfaceType, k: int, base: DivisorClass | None = None, part: slice | None = None
 ) -> Iterator[Certificate]:
-    """Certificates for every enumerated configuration of one (type, k).
+    """The certificate of every configuration `enumerate_configurations` yields
+    for one (type, k), each equal to its `verify`.
 
     `part` restricts them to a slice of k's skeleton table, as
-    `enumerate_configurations` takes it.
+    `enumerate_configurations` takes it.  The table's entries are checked
+    when it is built, so each certificate is made from its entry's core,
+    with no memo lookup and no `classify`.
     """
     if base is None:
         base = default_base(k)
-    for cfg in enumerate_configurations(k, s, part=part):
-        yield verify(cfg, s, base)
+    for cfg, core in _walk(k, s, part):
+        yield _certify(cfg, s, base, core, case_label(cfg.a_blocks, core, s))
 
 
 def iter_reports(
@@ -408,7 +426,7 @@ def iter_reports(
     """
     if base is None:
         base = default_base(k)
-    for cfg in enumerate_configurations(k, s, part=part):
-        cls = classify(cfg, s)
-        if cls.label != R1:
-            yield _classes(cfg, cls, s, base)[-1]
+    for cfg, core in _walk(k, s, part):
+        label = case_label(cfg.a_blocks, core, s)
+        if label != R1:
+            yield _classes(cfg, label, core, s, base)[-1]

@@ -438,6 +438,26 @@ def test_a_run_makes_no_reference_cycles():
             gc.enable()
 
 
+def test_main_leaves_no_reference_cycles(capsys):
+    # the parser's cycles included: `main` collects them before the run
+    enabled, flags, garbage = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+    gc.collect()
+    gc.disable()  # no collection between `main` and the one below
+    try:
+        assert main(["verify", "--types", "1", "--k", "2"]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.garbage.clear()
+        gc.collect()
+        left = sorted({type(obj).__name__ for obj in gc.garbage})
+        assert not gc.garbage, f"{len(gc.garbage)} objects in cycles, of types {left}"
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = garbage
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+
+
 def test_main_leaves_the_collector_as_it_found_it(capsys):
     def closed_stdout_catalog():
         # the reader of stdout is gone: `main` ends quietly with status 141

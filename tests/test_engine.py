@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hyperjet.configurations import (
     CASE_IV,
     JetConfiguration,
     classify,
+    enumerate_configurations,
     weight_partitions,
 )
 from hyperjet.engine import (
@@ -380,24 +382,29 @@ def test_verify_even_type_has_no_b_variant_labels():
 
 
 def test_negative_control_finds_failure():
-    # at k 2, all types: every certificate fails, and the count of each
-    # layer's failures says which computed layer needs the base.  Every report
-    # fails `base-margin`, the premise that reads the base, and nothing else
-    # of its unbounded half; the bounded cells recover at (3, 7), the fibre
-    # layer (fibre, square and single-point checks) does not
-    expected = {  # base: (with a failing check record, with a failing bounded cell)
-        (3, 3): (64, 113),
-        (3, 4): (32, 103),
-        (4, 3): (43, 103),
-        (3, 7): (32, 0),
+    # all types, below the paper's base (k+2, k+2): every certificate fails,
+    # and the count of each layer's failures says which computed layer needs
+    # the base.  Every report fails `base-margin`, the premise that reads the
+    # base, and nothing else of its unbounded half; the bounded cells recover
+    # once the other coordinate grows, the fibre layer (fibre, square and
+    # single-point checks) does not
+    expected = {  # (k, base): (with a failing check record, with a failing bounded cell)
+        (2, (3, 3)): (64, 113),
+        (2, (3, 4)): (32, 103),
+        (2, (4, 3)): (43, 103),
+        (2, (3, 7)): (32, 0),
+        (5, (6, 6)): (161, 2509),
+        (5, (6, 10)): (79, 0),
+        (5, (10, 6)): (89, 0),
     }
-    for base, (check_fails, bounded_fails) in expected.items():
+    total = {2: 143, 5: 3393}
+    for (k, base), (check_fails, bounded_fails) in expected.items():
         certs = [
             cert
             for t in range(1, 8)
-            for cert in iter_certificates(surface(t), 2, DivisorClass(*base))
+            for cert in iter_certificates(surface(t), k, DivisorClass(*base))
         ]
-        assert len(certs) == 143 and not any(cert.passed for cert in certs), base
+        assert len(certs) == total[k] and not any(cert.passed for cert in certs), base
         failing = [cert for cert in certs if not all(c.passed for c in cert.checks)]
         assert len(failing) == check_fails, base
         nef = [
@@ -406,7 +413,7 @@ def test_negative_control_finds_failure():
         ]
         assert len(nef) == 7 and all(cert.label == "R1" for cert in nef), base
         reports = [cert.nonfibre_report for cert in certs if cert.nonfibre_report]
-        assert len(reports) == 136, base
+        assert len(reports) == total[k] - 7, base
         assert sum(not all(c.passed for c in r.bounded) for r in reports) == bounded_fails
         for report in reports:
             unbounded = report.unbounded
@@ -513,28 +520,52 @@ def test_one_core_per_skeleton():
 
 HITS_PROBE = """
 import contextlib, io, json
-from hyperjet import cli, configurations
+from hyperjet import cli, configurations, engine
+from hyperjet.surfaces import surface
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     assert cli.main(["verify", "--types", "all", "--k", "2..5", "--format", "json"]) == 0
-info = configurations._structure.cache_info()
-print(json.dumps({"hits": info.hits, "certificates": json.loads(out.getvalue())["total"]}))
+sweep = configurations._structure.cache_info().hits
+cfg = configurations._skeletons(4)[0][-1]
+engine.verify(cfg, surface(3))
+once = configurations._structure.cache_info().hits - sweep
+print(json.dumps({"sweep": sweep, "verify": once,
+                  "certificates": json.loads(out.getvalue())["total"]}))
 """
 
 
 def test_one_structure_lookup_per_certificate():
-    """A serial sweep looks each certificate's structure up in the memo at most once.
+    """A serial sweep looks no structure up in the memo; `verify` looks its
+    configuration's up once.
 
     Run in a fresh interpreter, so the memo's hits are this sweep's: building
-    the skeleton tables only misses, and `classify` hands the core it read to
-    the rest of `verify`.
+    the skeleton tables only misses, and the sweep certifies each entry and
+    its variants from the core the table holds.  `verify` checks its
+    configuration through `classify`, which hands the core it read on.
     """
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", HITS_PROBE], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
     got = json.loads(out.stdout)
     assert got["certificates"] == 5201
-    assert 0 < got["hits"] <= got["certificates"]
+    assert (got["sweep"], got["verify"]) == (0, 1)
+
+
+@pytest.mark.parametrize("base", [None, DivisorClass(3, 4)])
+@pytest.mark.parametrize("type_id", range(1, 8))
+def test_swept_certificates_equal_verify(type_id, base):
+    """The sweep certifies from the skeleton table's cores and `verify` from
+    `classify`: each certificate of the sweep equals its configuration's
+    `verify`, with the same records, classes and report objects."""
+    s = surface(type_id)
+    for k in range(2, 6):
+        certs = list(iter_certificates(s, k, base))
+        assert [cert.config for cert in certs] == list(enumerate_configurations(k, s))
+        for cert in certs:
+            again = verify(cert.config, s, base)
+            assert cert == again
+            assert all(map(operator.is_, cert.checks, again.checks))
+            assert cert.nonfibre_report is again.nonfibre_report
 
 
 def assert_verdicts(cert):
