@@ -20,12 +20,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import io
 import json
 import os
 import re
 import sys
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Callable, Iterator, NamedTuple
 
 from . import configurations, engine, lp, nonfibre, tables
 from .configurations import JetConfiguration
@@ -257,7 +258,8 @@ def _report_line(report: nonfibre.NonFibreReport) -> str:
 
 
 Part = str | tuple[str, str]
-Result = tuple[dict[str, list[int]], list[Part]]
+Tally = dict[str, list[int]]
+Result = tuple[Tally, list[Part]]
 
 
 def _task_certs(task: Task) -> Result:
@@ -268,7 +270,7 @@ def _task_certs(task: Task) -> Result:
     in the run; every line ends in a newline.  Tasks run in order in each
     process, so the first task to use a report always carries its line.
     """
-    tally: dict[str, list[int]] = {}
+    tally: Tally = {}
     parts: list[Part] = []
     for cert in engine.iter_certificates(task.surface, task.k, task.base, task.part):
         counts = tally.get(cert.label)
@@ -286,6 +288,24 @@ def _task_certs(task: Task) -> Result:
     return tally, parts
 
 
+def _write(stream: IO[str], parts: list[Part], seen: set[str]) -> list[str]:
+    """Write a task's parts to the bundle and flush them; the keys of the reports written.
+
+    A report line whose key is in `seen`, the reports already in the bundle,
+    is skipped; the keys of the others join `seen`.
+    """
+    keys = []
+    for part in parts:
+        if isinstance(part, str):
+            stream.write(part)
+        elif part[0] not in seen:
+            seen.add(part[0])
+            keys.append(part[0])
+            stream.write(part[1])
+    stream.flush()
+    return keys
+
+
 def _owners(tasks: list[Task], jobs: int) -> list[int]:
     """The worker of each task under `--jobs`: units dealt round-robin in task order.
 
@@ -298,87 +318,129 @@ def _owners(tasks: list[Task], jobs: int) -> list[int]:
     return [units.setdefault((t.k, t.part.start), len(units) % jobs) for t in tasks]
 
 
-@contextlib.contextmanager
-def _worker(tasks: list[Task]) -> Iterator[Iterator[Result]]:
-    """A forked process running `_task_certs` over `tasks`: their results, in order.
+# a worker's next task: given the keys of the reports other workers have
+# written since its last turn, its tally and the keys of the reports it wrote
+Turn = Callable[[list[str]], tuple[Tally, list[str]]]
 
-    The child pickles each result down its own pipe as soon as it has it, so
-    it blocks once the pipe is full, and stops at the first task that
-    raises, sending the exception instead; `next` raises it again in the
-    parent.  The child ends in `os._exit`, so it never flushes a buffer it
-    inherited (the bundle header among them).  Leaving the context reaps
-    it, killing it first if the parent stops before reading every result.
+
+@contextlib.contextmanager
+def _worker(tasks: list[Task], stream: IO[str] | None) -> Iterator[Turn]:
+    """A forked process running `_task_certs` over `tasks`, writing their text itself.
+
+    For each task in order, the child sends its tally as soon as it has it,
+    then, with a bundle, waits for its turn.  Calling the turn reads that
+    tally first, so a task that raised raises again here; it then sends the
+    keys of the reports that other workers have written, and the child
+    writes the task's text to `stream` (`_write`: it shares the bundle's
+    file offset, and a report already there is skipped), flushes it, and
+    sends back the keys it wrote.  The parent never sees the text.  The
+    child stops at the first task or write that raises, sending the
+    exception instead, and ends in `os._exit`, so it never flushes a buffer
+    it inherited.  Leaving the context reaps it, killing it first if the
+    parent stops before its last turn.
     """
     # imported here, so that a serial run does not load them
     import pickle
     import signal
 
-    read, write = os.pipe()
+    results_read, results_write = os.pipe()
+    turns_read, turns_write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: never returns
         code = 1
         try:
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
+            os.close(results_read)
+            os.close(turns_write)
+            with os.fdopen(results_write, "wb") as out, os.fdopen(turns_read, "rb") as go:
+
+                def send(message: tuple[bool, object]) -> None:
+                    out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                    out.flush()
+
+                seen: set[str] = set()
                 try:
                     for task in tasks:
-                        result = (True, _task_certs(task))
-                        pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                        pipe.flush()
+                        tally, parts = _task_certs(task)
+                        send((True, tally))
+                        if stream:
+                            seen.update(pickle.load(go))
+                            send((True, _write(stream, parts, seen)))
+                        del tally, parts  # before the next task makes its own
                     code = 0
                 except Exception as exc:
-                    pipe.write(pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL))
+                    send((False, exc))
         finally:
             os._exit(code)
-    os.close(write)
+    os.close(results_write)
+    os.close(turns_read)
 
-    def results() -> Iterator[Result]:
-        for _ in tasks:
-            try:
-                ok, result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(
-                    f"--jobs worker {pid} ended before sending all its results"
-                ) from None
-            if not ok:
-                raise result
-            yield result
+    def receive():
+        try:
+            ok, value = pickle.load(results)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(
+                f"--jobs worker {pid} ended before its last turn"
+            ) from None
+        if not ok:
+            raise value
+        return value
+
+    def turn(written: list[str]) -> tuple[Tally, list[str]]:
+        tally = receive()
+        if not stream:
+            return tally, []
+        turns.write(pickle.dumps(written, pickle.HIGHEST_PROTOCOL))
+        turns.flush()
+        return tally, receive()
 
     try:
-        with os.fdopen(read, "rb") as pipe:
-            yield results()
+        with os.fdopen(results_read, "rb") as results, os.fdopen(turns_write, "wb") as turns:
+            yield turn
     except BaseException:
-        os.kill(pid, signal.SIGKILL)  # busy with a task, or blocked on the closed pipe
+        os.kill(pid, signal.SIGKILL)  # busy with a task, or blocked on a pipe
         raise
     finally:
         os.waitpid(pid, 0)
 
 
-def _iter_sweep(cfg: RunConfig, lines: bool) -> Iterator[Result]:
-    """(tally, bundle text) per task, in order, from `_task_certs`.
+def _iter_sweep(cfg: RunConfig, stream: IO[str] | None) -> Iterator[Tally]:
+    """The tally of each task, in order, with its text written to `stream` (if any).
 
-    A serial run maps it over the tasks.  With `--jobs`, each worker that
-    `_owners` plans (at most one per unit) runs its own tasks, and the
-    parent reads the results back in task order: it holds one task's text
-    at a time, and a worker that gets ahead waits on its pipe.
+    A serial run maps `_task_certs` over the tasks and writes each task's
+    text as it comes.  With `--jobs`, each worker that `_owners` plans (at
+    most one per unit) runs its own tasks and writes their text itself,
+    when the parent gives it the turn, in task order: the parent holds no
+    text, only the keys of the reports each worker wrote, which it passes on
+    to the others.  A worker that gets ahead waits for its turn.
     """
     _sent.clear()
     _fragments.clear()
     _encoded.clear()
-    tasks = _tasks(cfg, lines)
+    tasks = _tasks(cfg, stream is not None)
     owners = _owners(tasks, cfg.jobs)
     jobs = max(owners, default=0) + 1
     if jobs == 1:
-        yield from map(_task_certs, tasks)
+        seen: set[str] = set()
+        for task in tasks:
+            tally, parts = _task_certs(task)
+            if stream:
+                _write(stream, parts, seen)
+            del parts  # a task's whole text: free it before the next
+            yield tally
         return
     nonfibre.implication_battery()  # built once, for every worker to inherit
     with contextlib.ExitStack() as stack:
-        results = [
-            stack.enter_context(_worker([t for t, o in zip(tasks, owners) if o == w]))
+        turns = [
+            stack.enter_context(_worker([t for t, o in zip(tasks, owners) if o == w], stream))
             for w in range(jobs)
         ]
+        written: list[str] = []  # the keys of the reports in the bundle, in order
+        since = [0] * jobs  # how many of them each worker has been told of
         for owner in owners:
-            yield next(results[owner])
+            tally, keys = turns[owner](written[since[owner]:])
+            written += keys
+            since[owner] = len(written)
+            yield tally
 
 
 def _run_config_json(cfg: RunConfig) -> dict:
@@ -392,24 +454,28 @@ def _run_config_json(cfg: RunConfig) -> dict:
 
 
 def run_verify(cfg: RunConfig, stream: IO[str] | None) -> engine.SweepSummary:
+    """Sweep `cfg`'s scope; its summary, with the bundle written to `stream` (if any).
+
+    With `--jobs`, forked workers write the certificate and report lines to
+    the bundle's file themselves, so a bundle must then be a file (a
+    descriptor): an in-memory stream raises ValueError before any fork.  The
+    header is flushed before the workers fork, so that none of them
+    inherits it unwritten.
+    """
+    if stream and cfg.jobs > 1:
+        try:
+            stream.fileno()
+        except (AttributeError, io.UnsupportedOperation):
+            raise ValueError("a --jobs bundle must be a file: its workers write to it") from None
     summary = engine.SweepSummary()
-    seen_reports: set[str] = set()
     if stream:
         header = {"kind": "header", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**header, "run": _run_config_json(cfg)}) + "\n")
-    # closed on the way out, so that a failed write also ends the workers
-    with contextlib.closing(_iter_sweep(cfg, stream is not None)) as results:
-        for tally, parts in results:
-            for part in parts:  # none without a bundle
-                if isinstance(part, str):
-                    stream.write(part)
-                elif part[0] not in seen_reports:
-                    seen_reports.add(part[0])
-                    stream.write(part[1])
+        stream.flush()
+    # closed on the way out, so that a run that stops early also ends the workers
+    with contextlib.closing(_iter_sweep(cfg, stream)) as tallies:
+        for tally in tallies:
             summary.merge(tally)
-            if stream:
-                stream.flush()
-            del tally, parts  # a task's whole result: free it before waiting for the next
     if stream:
         closing = {"kind": "summary", "schema_version": SCHEMA_VERSION}
         stream.write(_dump({**closing, **summary.to_json()}) + "\n")

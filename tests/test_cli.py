@@ -46,9 +46,20 @@ def assert_reports_precede_use(lines):
             assert obj["nonfibre_ref"] in seen
 
 
-def inline_worker(tasks):
-    """A stand-in for `cli._worker` that runs each task in this process when it is read."""
-    return contextlib.nullcontext(map(cli._task_certs, tasks))
+def inline_worker(tasks, stream):
+    """A stand-in for `cli._worker` that runs each task in this process at its turn.
+
+    It writes the task's text at the turn, as a forked worker does, so the
+    bundle is still written in task order.
+    """
+    pending, seen = iter(tasks), set()
+
+    def turn(written):
+        tally, parts = cli._task_certs(next(pending))
+        seen.update(written)
+        return tally, cli._write(stream, parts, seen) if stream else []
+
+    return contextlib.nullcontext(turn)
 
 
 def record_forks(monkeypatch):
@@ -550,9 +561,9 @@ def test_table_matrix_builds_no_certificates(capsys, monkeypatch):
 def test_jobs_are_capped_at_the_unit_count(capsys, monkeypatch):
     workers = []
 
-    def counted(tasks):
+    def counted(tasks, stream):
         workers.append(tasks)
-        return inline_worker(tasks)
+        return inline_worker(tasks, stream)
 
     monkeypatch.setattr(cli, "_worker", counted)
     for types in ("1", "1,2"):  # one unit, k 2, shared by the types: the serial path
@@ -751,38 +762,116 @@ def test_no_worker_outlives_a_run(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "certs.jsonl"))
     assert code == 0 and len(forked) == 3
     assert_reaped(forked)
-    # a bundle write that fails (the first flush, after the first task)
+    # a bundle that takes no bytes: the header's flush fails, before any fork
     forked.clear()
     code, _, err = run_cli(capsys, *argv, "--out", "/dev/full")
     assert code == 2 and json.loads(err)["error"]["type"] == "OSError"
+    assert forked == []
+    # a worker's own write that fails, after the header and other tasks' text
+    write, parent = cli._write, os.getpid()
+
+    def full(stream, parts, seen):  # forked workers inherit it
+        if os.getpid() != parent and '"k":4' in parts[-1]:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return write(stream, parts, seen)
+
+    monkeypatch.setattr(cli, "_write", full)
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "full.jsonl"))
+    assert code == 2 and json.loads(err) == {"error": {
+        "type": "OSError", "message": "[Errno 28] No space left on device"}}
     assert len(forked) == 3
     assert_reaped(forked)
+    assert (tmp_path / "full.jsonl").read_text().count('"kind":"certificate"') > 0
 
 
-class BrokenStream(io.StringIO):
-    """A bundle stream whose reader leaves after the first `writes` writes."""
+def reader_of(limit):
+    """A process that reads `limit` bytes of what is written to it, then leaves.
 
-    def __init__(self, writes):
-        super().__init__()
-        self.writes = writes
-
-    def write(self, text):
-        self.writes -= 1
-        if self.writes < 0:
-            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
-        return super().write(text)
+    A pipe to another process: the bundle's --jobs workers, forked from this
+    one, then hold no read end of it, so once the reader has left every
+    write to it fails with EPIPE.
+    """
+    probe = f"import sys; sys.stdin.buffer.read({limit})"
+    return subprocess.Popen([sys.executable, "-c", probe], stdin=subprocess.PIPE, text=True)
 
 
 def test_a_parent_that_stops_early_reaps_its_workers(monkeypatch):
     forked = record_forks(monkeypatch)
     cfg = cli.RunConfig("verify", surface_types=(1, 7), k_max=5, jobs=2)
-    for writes in (3, 1_000):  # in the first task, or after some
+    for limit in (100, 300_000):  # in the header, or after some tasks
         forked.clear()
-        with pytest.raises(BrokenPipeError) as caught:
-            cli.run_verify(cfg, BrokenStream(writes))
-        assert len(forked) == 2, writes
-        assert_reaped(forked)  # while the exception holds the frames it unwound
-        assert caught.value.errno == errno.EPIPE
+        reader = reader_of(limit)
+        try:
+            with pytest.raises(BrokenPipeError) as caught:
+                cli.run_verify(cfg, reader.stdin)
+            assert len(forked) == 2, limit
+            assert_reaped(forked)  # while the exception holds the frames it unwound
+            assert caught.value.errno == errno.EPIPE
+        finally:
+            assert reader.wait(timeout=60) == 0
+            with contextlib.suppress(BrokenPipeError):
+                reader.stdin.close()
+
+
+def test_a_jobs_bundle_must_be_a_file(monkeypatch):
+    forked = record_forks(monkeypatch)
+    cfg = cli.RunConfig("verify", surface_types=(1, 7), k_max=5, jobs=2)
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match="must be a file"):
+        cli.run_verify(cfg, stream)
+    assert forked == [] and stream.getvalue() == ""
+    assert cli.run_verify(cfg, None).all_passed and len(forked) == 2  # no bundle: no file
+
+
+def test_the_parent_of_a_jobs_run_gets_no_text(capsys, tmp_path, monkeypatch):
+    """Workers write their text to the bundle; their pipes carry tallies and keys."""
+    received, fdopen, parent = [], os.fdopen, os.getpid()
+
+    class Counted:
+        def __init__(self, f):
+            self.f = f
+
+        def read(self, n=-1):
+            data = self.f.read(n)
+            received.append(len(data))
+            return data
+
+        def readline(self):
+            data = self.f.readline()
+            received.append(len(data))
+            return data
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+    def counted(fd, mode="r", *args, **kwargs):
+        f = fdopen(fd, mode, *args, **kwargs)
+        return Counted(f) if mode == "rb" and os.getpid() == parent else f
+
+    monkeypatch.setattr(os, "fdopen", counted)
+    argv = ("verify", "--types", "1,7", "--k", "2..5")
+    serial, forked = tmp_path / "serial.jsonl", tmp_path / "forked.jsonl"
+    run_cli(capsys, *argv, "--out", str(serial))
+    assert received == []
+    code, _, _ = run_cli(capsys, *argv, "--jobs", "2", "--out", str(forked))
+    assert code == 0 and len(received) > 0
+    assert sum(received) < 64 * 1024 and forked.stat().st_size > 1024 * 1024
+    assert forked.read_bytes() == serial.read_bytes()
+    # a worker that raises in its write turn: its own exception ends the run
+    write = cli._write
+
+    def failing(stream, parts, seen):  # forked workers inherit it
+        if os.getpid() != parent and '"surface_type":7' in parts[-1]:
+            raise ValueError("cannot write type 7")
+        return write(stream, parts, seen)
+
+    monkeypatch.setattr(cli, "_write", failing)
+    code, out, err = run_cli(capsys, *argv, "--jobs", "2", "--out", str(forked))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": {"type": "ValueError", "message": "cannot write type 7"}}
 
 
 def test_a_closed_stdout_ends_a_jobs_run_and_its_workers():
